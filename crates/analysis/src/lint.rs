@@ -101,6 +101,12 @@ pub fn all_lints() -> Vec<Lint> {
             description: "every workspace crate's library root carries #![forbid(unsafe_code)]",
             run: lints::unsafe_audit::run,
         },
+        Lint {
+            name: "doc-link",
+            description:
+                "every *.md file a Rust comment cites exists at the repo root or beside the file",
+            run: lints::doc_link::run,
+        },
     ]
 }
 

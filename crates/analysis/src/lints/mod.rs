@@ -2,6 +2,7 @@
 //! `run(&Workspace, &mut Vec<Finding>)`; registration lives in
 //! [`crate::lint::all_lints`].
 
+pub mod doc_link;
 pub mod panic_path;
 pub mod section_registry;
 pub mod telemetry_drift;

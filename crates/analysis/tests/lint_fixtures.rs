@@ -2,8 +2,8 @@
 //! workspace holding one known-bad and one known-good (or allowlisted)
 //! case, and must produce exactly the expected findings with correct
 //! `file:line` positions. The `one_injected_violation_per_lint` test at
-//! the bottom is the acceptance check from the issue: a workspace with
-//! one violation of *each* lint fails with all six diagnostics.
+//! the bottom is the acceptance check: a workspace with one violation of
+//! *each* lint fails with all seven diagnostics.
 
 use kizzle_analyze::{run, Severity};
 use std::path::{Path, PathBuf};
@@ -253,6 +253,31 @@ fn unsafe_audit_requires_the_forbid_attribute() {
     assert!(f.message.contains("forbid(unsafe_code)"));
 }
 
+#[test]
+fn doc_link_flags_cited_markdown_that_does_not_exist() {
+    let fx = fixture(
+        "doc-link",
+        &[
+            ("NOTES.md", "# at the root\n"),
+            ("crates/demo/src/GUIDE.md", "# beside the source\n"),
+            (
+                "crates/demo/src/lib.rs",
+                "#![forbid(unsafe_code)]\n//! See NOTES.md and GUIDE.md; *.md globs are fine.\n/// Details in GHOST.md.\npub fn f() {}\n/* and crates/demo/src/GUIDE.md */\n",
+            ),
+        ],
+    );
+    let report = fx.run(&["doc-link"]);
+    assert_eq!(report.findings.len(), 1, "{}", report.render());
+    let f = &report.findings[0];
+    assert_eq!(f.severity, Severity::Warn);
+    assert_eq!(
+        (f.path.as_str(), f.line, f.col),
+        ("crates/demo/src/lib.rs", 3, 16)
+    );
+    assert!(f.message.contains("GHOST.md"), "{}", f.message);
+    assert!(!report.failed(false) && report.failed(true));
+}
+
 /// The issue's acceptance check: inject one violation of each lint into
 /// one workspace and every lint fires with a correct location.
 #[test]
@@ -272,7 +297,7 @@ fn one_injected_violation_per_lint() {
             (
                 "crates/demo/src/lib.rs",
                 // no forbid(unsafe_code): trips forbid-unsafe-audit
-                "use std::time::Instant;\npub fn f(x: Option<u32>) -> u32 {\n    telemetry::counter(\"declared_metric\").inc();\n    telemetry::counter(\"rogue_metric\").inc();\n    let _section = \"meta\";\n    let _t = Instant::now();\n    x.unwrap()\n}\n",
+                "use std::time::Instant;\npub fn f(x: Option<u32>) -> u32 {\n    telemetry::counter(\"declared_metric\").inc();\n    telemetry::counter(\"rogue_metric\").inc();\n    let _section = \"meta\";\n    let _t = Instant::now();\n    x.unwrap()\n}\n// See GHOST.md.\n",
             ),
         ],
     );
@@ -285,6 +310,7 @@ fn one_injected_violation_per_lint() {
         "threshold-drift",
         "timing-discipline",
         "forbid-unsafe-audit",
+        "doc-link",
     ] {
         assert!(
             fired.contains(lint),
@@ -308,4 +334,5 @@ fn one_injected_violation_per_lint() {
     assert_eq!(by("section-registry"), ("crates/demo/src/lib.rs", 5));
     assert_eq!(by("timing-discipline"), ("crates/demo/src/lib.rs", 6));
     assert_eq!(by("threshold-drift"), ("crates/bench/thresholds.json", 2));
+    assert_eq!(by("doc-link"), ("crates/demo/src/lib.rs", 9));
 }

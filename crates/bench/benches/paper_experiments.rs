@@ -1,11 +1,12 @@
-//! One Criterion group per paper table/figure (DESIGN.md index E1–E12),
-//! plus the ablations of DESIGN.md §5. Each bench regenerates the
-//! experiment at a reduced scale so the whole harness finishes in minutes;
-//! the `experiments` binary produces the full-scale numbers recorded in
-//! EXPERIMENTS.md.
+//! One Criterion group per paper table/figure (the E1–E12 index of
+//! `kizzle_eval::experiments`), plus ablations of three paper parameters:
+//! the DBSCAN threshold, the winnowing parameters and the 200-token
+//! signature cap. Each bench regenerates the experiment at a reduced
+//! scale so the whole harness finishes in minutes; the `experiments`
+//! binary produces the full-scale numbers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use kizzle::{KizzleCompiler, KizzleConfig, ReferenceCorpus};
+use kizzle::{KizzleConfig, KizzleService, ReferenceCorpus};
 use kizzle_bench::{class_strings, packed_samples, tokenized};
 use kizzle_cluster::distance::normalized_edit_distance;
 use kizzle_cluster::{dbscan, DbscanParams, DistributedClusterer, DistributedConfig};
@@ -68,11 +69,12 @@ fn fig06_12_13_14_monthly_day(c: &mut Criterion) {
         b.iter(|| {
             let config = KizzleConfig::fast();
             let reference = ReferenceCorpus::seeded_from_models(date, &config);
-            let mut compiler = KizzleCompiler::new(config, reference);
-            compiler.process_day(date, &day);
+            let mut service = KizzleService::new(config, reference).expect("fast config is valid");
+            service.process_day(date, &day).expect("day processes");
+            let matcher = service.matcher();
             let hits = day
                 .iter()
-                .filter(|s| compiler.scan(&s.html).is_some())
+                .filter(|s| matcher.scan(&s.html).is_some())
                 .count();
             black_box(hits)
         })
@@ -197,7 +199,7 @@ fn cycle_adversarial(c: &mut Criterion) {
     group.finish();
 }
 
-/// Ablation (DESIGN.md §5): DBSCAN epsilon.
+/// Ablation: the DBSCAN epsilon (the paper clusters at 0.10).
 fn ablation_epsilon(c: &mut Criterion) {
     let mut group = configured(c, "ablation_epsilon");
     let mut docs = Vec::new();
@@ -222,7 +224,7 @@ fn ablation_epsilon(c: &mut Criterion) {
     group.finish();
 }
 
-/// Ablation (DESIGN.md §5): winnowing parameters.
+/// Ablation: the winnowing parameters (k, w) of reference labeling.
 fn ablation_winnow(c: &mut Criterion) {
     let mut group = configured(c, "ablation_winnow");
     let payload = kizzle_corpus::KitModel::new(KitFamily::Nuclear)
@@ -240,7 +242,7 @@ fn ablation_winnow(c: &mut Criterion) {
     group.finish();
 }
 
-/// Ablation (DESIGN.md §5): the 200-token signature cap.
+/// Ablation: the paper's 200-token signature cap.
 fn ablation_sigcap(c: &mut Criterion) {
     let mut group = configured(c, "ablation_sigcap");
     let samples = tokenized(&packed_samples(KitFamily::SweetOrange, 20, 8), 700);

@@ -17,6 +17,10 @@
 //!   the work serializes and the win is the hidden `begin_day(d+1)`
 //!   latency instead (both numbers printed to stderr).
 //!
+//! Every arm feeds raw samples, so each one pays the tokenize cost
+//! production pays (day A's direct ingest and both `process_day` calls
+//! included).
+//!
 //! Every routine reuses one date: re-opening the same day is the
 //! documented crash-recovery path, and identical content dedups onto the
 //! warm store, so state stays bounded across iterations.
@@ -24,7 +28,6 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use kizzle::prelude::*;
 use kizzle_corpus::{GraywareStream, Sample, SimDate, StreamConfig};
-use kizzle_js::TokenStream;
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -45,14 +48,6 @@ fn day(seed: u64) -> Vec<Sample> {
     .generate_day(SimDate::new(2014, 8, 5))
 }
 
-fn tokenize(service: &KizzleService, samples: &[Sample]) -> Vec<TokenStream> {
-    let compiler = service.compiler();
-    samples
-        .iter()
-        .map(|s| compiler.tokenize_capped(&s.html))
-        .collect()
-}
-
 /// Pipelined ingest of `chunks` into a session on `date`, abandoned after
 /// the worker has applied everything (ingest cost without seal cost).
 fn pipelined_ingest(service: &mut KizzleService, date: SimDate, chunks: &[Arc<[Sample]>]) {
@@ -60,7 +55,7 @@ fn pipelined_ingest(service: &mut KizzleService, date: SimDate, chunks: &[Arc<[S
     let mut session = service.begin_day(date).expect("same-day reopen is allowed");
     let producer = session.pipeline(4);
     for chunk in chunks {
-        assert!(producer.send_shared(Arc::clone(chunk)));
+        assert!(producer.send(Arc::clone(chunk)));
     }
     drop(producer);
     while session.ingested() < total {
@@ -90,12 +85,11 @@ fn bench_pipeline(c: &mut Criterion) {
 
     {
         let mut service = fresh_service();
-        let streams_a = tokenize(&service, &day_a);
         let chunks: Vec<Arc<[Sample]>> = day_b.chunks(8).map(Arc::from).collect();
         group.bench_function("during_seal_64", |b| {
             b.iter(|| {
                 let mut a = service.begin_day(date).expect("day opens");
-                a.ingest_tokenized(&day_a, &streams_a);
+                a.ingest(day_a.as_slice());
                 let handle = a.seal_background();
                 pipelined_ingest(&mut service, date, &chunks);
                 black_box(handle.wait().clusters)
@@ -109,7 +103,6 @@ fn bench_pipeline(c: &mut Criterion) {
     // the seal's own cost from its routine).
     {
         let mut service = fresh_service();
-        let streams_a = tokenize(&service, &day_a);
         let chunks: Vec<Arc<[Sample]>> = day_b.chunks(8).map(Arc::from).collect();
         let rounds = 40;
         // Warm the store so both measurements dedup onto live entries.
@@ -122,7 +115,7 @@ fn bench_pipeline(c: &mut Criterion) {
         let mut with_seal = Duration::ZERO;
         for _ in 0..rounds {
             let mut a = service.begin_day(date).expect("day opens");
-            a.ingest_tokenized(&day_a, &streams_a);
+            a.ingest(day_a.as_slice());
             let handle = a.seal_background();
             let t = Instant::now();
             pipelined_ingest(&mut service, date, &chunks);
@@ -147,16 +140,10 @@ fn bench_pipeline(c: &mut Criterion) {
 
     {
         let mut service = fresh_service();
-        let streams_a = tokenize(&service, &day_a);
-        let streams_b = tokenize(&service, &day_b);
         group.bench_function("serial", |b| {
             b.iter(|| {
-                let r1 = service
-                    .process_day_tokenized(date, &day_a, &streams_a)
-                    .expect("day seals");
-                let r2 = service
-                    .process_day_tokenized(date, &day_b, &streams_b)
-                    .expect("day seals");
+                let r1 = service.process_day(date, &day_a).expect("day seals");
+                let r2 = service.process_day(date, &day_b).expect("day seals");
                 black_box(r1.clusters + r2.clusters)
             })
         });
@@ -164,16 +151,14 @@ fn bench_pipeline(c: &mut Criterion) {
 
     {
         let mut service = fresh_service();
-        let streams_a = tokenize(&service, &day_a);
-        let streams_b = tokenize(&service, &day_b);
         group.bench_function("pipelined", |b| {
             b.iter(|| {
                 let mut a = service.begin_day(date).expect("day opens");
-                a.ingest_tokenized(&day_a, &streams_a);
+                a.ingest(day_a.as_slice());
                 let handle = a.seal_background();
                 // Day B ingests while day A clusters on the seal thread.
                 let mut b_session = service.begin_day(date).expect("day opens");
-                b_session.ingest_tokenized(&day_b, &streams_b);
+                b_session.ingest(day_b.as_slice());
                 let r2 = b_session.seal();
                 black_box(handle.wait().clusters + r2.clusters)
             })
@@ -184,35 +169,31 @@ fn bench_pipeline(c: &mut Criterion) {
     // Headline wall-clock pair for PERF.md.
     {
         let mut serial_svc = fresh_service();
-        let streams_a = tokenize(&serial_svc, &day_a);
-        let streams_b = tokenize(&serial_svc, &day_b);
         let rounds = 10;
         let t = Instant::now();
         for _ in 0..rounds {
             black_box(
                 serial_svc
-                    .process_day_tokenized(date, &day_a, &streams_a)
+                    .process_day(date, &day_a)
                     .expect("day seals")
                     .clusters,
             );
             black_box(
                 serial_svc
-                    .process_day_tokenized(date, &day_b, &streams_b)
+                    .process_day(date, &day_b)
                     .expect("day seals")
                     .clusters,
             );
         }
         let serial = t.elapsed() / rounds;
         let mut piped_svc = fresh_service();
-        let streams_a = tokenize(&piped_svc, &day_a);
-        let streams_b = tokenize(&piped_svc, &day_b);
         let t = Instant::now();
         for _ in 0..rounds {
             let mut a = piped_svc.begin_day(date).expect("day opens");
-            a.ingest_tokenized(&day_a, &streams_a);
+            a.ingest(day_a.as_slice());
             let handle = a.seal_background();
             let mut b = piped_svc.begin_day(date).expect("day opens");
-            b.ingest_tokenized(&day_b, &streams_b);
+            b.ingest(day_b.as_slice());
             black_box(handle.wait().clusters + b.seal().clusters);
         }
         let piped = t.elapsed() / rounds;

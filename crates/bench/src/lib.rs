@@ -3,8 +3,9 @@
 //! The benchmarks live in `benches/`:
 //!
 //! * `paper_experiments` — one Criterion group per paper table/figure
-//!   (the E1–E12 index of DESIGN.md), regenerating each result at bench
-//!   scale plus the ablations called out in DESIGN.md §5.
+//!   (the E1–E12 index of `kizzle_eval::experiments`), regenerating each
+//!   result at bench scale, plus ablations of the paper's DBSCAN
+//!   threshold, winnowing parameters and 200-token signature cap.
 //! * `components` — micro-benchmarks of the individual pipeline stages
 //!   (tokenization, edit distance, DBSCAN, winnowing, signature
 //!   generation, scanning).
@@ -58,7 +59,7 @@ pub fn class_strings(documents: &[String], cap: usize) -> Vec<Vec<u8>> {
 /// one-off pages (noise), matching what the daily pipeline clusters.
 ///
 /// Deterministic for a given `total`; documents are capped at `cap` tokens
-/// like `KizzleCompiler::tokenize_capped` does.
+/// like the compiler's ingest does.
 #[must_use]
 pub fn synthetic_day_class_strings(total: usize, cap: usize) -> Vec<Vec<u8>> {
     use kizzle_corpus::benign::{generate_benign, BenignKind};

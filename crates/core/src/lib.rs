@@ -5,8 +5,9 @@
 //! anti-virus-style structural signatures for exploit kits, with no analyst
 //! in the loop once it has been seeded with known kits.
 //!
-//! One processing round ([`KizzleCompiler::process_day`]) follows the
-//! paper's Fig. 7 pipeline:
+//! One processing round ([`KizzleService::process_day`], or a
+//! [`DaySession`] fed in mini-batches) follows the paper's Fig. 7
+//! pipeline:
 //!
 //! 1. **Tokenize** every sample into an abstract token stream
 //!    (`kizzle-js`), capped at a configurable prefix length.
@@ -34,9 +35,10 @@
 //! in the steady state — while a day seals, picking up each newly
 //! published signature set atomically. Configuration goes through
 //! [`KizzleConfig::builder`], and every fallible operation returns the
-//! unified [`KizzleError`]. The one-object [`KizzleCompiler`] survives
-//! underneath (and [`KizzleCompiler::process_day`] is now a thin wrapper
-//! over the same session phases) for harnesses that want the monolith.
+//! unified [`KizzleError`]. The service is the only way into the
+//! compiler: a day enters through [`KizzleService::process_day`],
+//! [`DaySession::ingest`], [`DaySession::pipeline`],
+//! [`DaySession::pipeline_auto`] or [`IngestProducer::send`].
 //!
 //! ## Quickstart
 //!
@@ -83,7 +85,7 @@ pub mod source;
 
 pub use config::{KizzleConfig, KizzleConfigBuilder};
 pub use error::KizzleError;
-pub use pipeline::{ClusterVerdict, DayReport, KizzleCompiler, PipelineStats};
+pub use pipeline::{ClusterVerdict, DayReport, PipelineStats};
 pub use reference::ReferenceCorpus;
 pub use service::{
     DaySession, IngestProducer, KizzleService, Matcher, ScanVerdict, SealHandle,
@@ -99,7 +101,7 @@ pub mod prelude {
     //! `use kizzle::prelude::*;`.
     pub use crate::config::{KizzleConfig, KizzleConfigBuilder};
     pub use crate::error::KizzleError;
-    pub use crate::pipeline::{ClusterVerdict, DayReport, KizzleCompiler, PipelineStats};
+    pub use crate::pipeline::{ClusterVerdict, DayReport, PipelineStats};
     pub use crate::reference::ReferenceCorpus;
     pub use crate::service::{
         DaySession, IngestProducer, KizzleService, Matcher, ScanVerdict, SealHandle,

@@ -28,8 +28,8 @@ pub struct ClusterVerdict {
 /// Counters from the session ingest frontend, surfaced per day in the
 /// [`DayReport`] so pipeline overlap and backpressure are measurable.
 ///
-/// The single-shot paths ([`KizzleCompiler::process_day`] and friends)
-/// report all zeros; a [`DaySession`](crate::DaySession) counts every
+/// The single-shot [`KizzleService::process_day`](crate::KizzleService::process_day)
+/// reports all zeros; a [`DaySession`](crate::DaySession) counts every
 /// mini-batch, and the bounded-channel frontend additionally records how
 /// often producers stalled on a full channel and how deep the queue got.
 /// Like `clustering_stats`, these are observability fields: they are not
@@ -131,18 +131,22 @@ impl fmt::Display for DayReport {
     }
 }
 
-/// The Kizzle signature compiler.
+/// The Kizzle signature compiler: the warm state behind
+/// [`KizzleService`](crate::KizzleService), which is the only way in.
 ///
 /// Holds the labeled reference corpus it was seeded with, the cumulative
 /// set of signatures it has emitted so far, and the warm incremental
-/// corpus engine threaded through consecutive
-/// [`KizzleCompiler::process_day`] calls: each day's class-strings are
-/// tokenized once into the engine's store (content dedup turns the overlap
-/// with recent days into index cache hits), samples older than the
-/// configured retention window are retired, and the day is clustered as a
-/// view over the live corpus — byte-identical to a cold per-day run.
+/// corpus engine threaded through consecutive days: each day's
+/// class-strings are deposited once into the engine's store (content
+/// dedup turns the overlap with recent days into index cache hits),
+/// samples older than the configured retention window are retired, and
+/// the day is clustered as a view over the live corpus — byte-identical
+/// to a cold per-day run. A day runs through three phases the service
+/// drives: [`open_day`](Self::open_day), any number of
+/// [`ingest_streams`](Self::ingest_streams) and
+/// [`seal_day`](Self::seal_day).
 #[derive(Debug, Clone)]
-pub struct KizzleCompiler {
+pub(crate) struct KizzleCompiler {
     pub(crate) config: KizzleConfig,
     pub(crate) reference: ReferenceCorpus,
     /// The cumulative signature set, shared by `Arc` with every epoch the
@@ -153,9 +157,8 @@ pub struct KizzleCompiler {
     pub(crate) signatures: Arc<SignatureSet>,
     pub(crate) signature_counters: HashMap<KitFamily, usize>,
     pub(crate) engine: CorpusEngine,
-    /// The most recent day threaded through [`KizzleCompiler::process_day`]
-    /// — the day counter persisted by
-    /// [`KizzleCompiler::save_state`](crate::snapshot).
+    /// The most recent day opened — the day counter persisted by
+    /// [`KizzleCompiler::save_state`].
     pub(crate) last_day: Option<SimDate>,
     /// Each retained day's sample-id view (stamp, ids as deposited —
     /// duplicates included), pruned with the retention window. This is
@@ -181,54 +184,8 @@ impl KizzleCompiler {
         }
     }
 
-    /// The pipeline configuration.
-    #[must_use]
-    pub fn config(&self) -> &KizzleConfig {
-        &self.config
-    }
-
-    /// The warm corpus engine (live store size, index state) — exposed for
-    /// observability and tests.
-    #[must_use]
-    pub fn engine(&self) -> &CorpusEngine {
-        &self.engine
-    }
-
-    /// The reference corpus (grows as labeled clusters are absorbed).
-    #[must_use]
-    pub fn reference(&self) -> &ReferenceCorpus {
-        &self.reference
-    }
-
-    /// The signatures deployed so far.
-    #[must_use]
-    pub fn signatures(&self) -> &SignatureSet {
-        &self.signatures
-    }
-
-    /// The signature set as the shared handle the service publishes —
-    /// cloning it is a reference-count bump, not a copy of the set.
-    #[must_use]
-    pub fn signatures_shared(&self) -> Arc<SignatureSet> {
-        Arc::clone(&self.signatures)
-    }
-
-    /// The most recent day processed, if any — survives snapshot save/load.
-    #[must_use]
-    pub fn last_processed_day(&self) -> Option<SimDate> {
-        self.last_day
-    }
-
-    /// Cluster the *entire retention window* — every retained day's batch
-    /// concatenated in day order, duplicates included, so repeated content
-    /// carries the same weight it had per day — through the same
-    /// partition/reduce dataflow as [`KizzleCompiler::process_day`]. The
-    /// multi-day eval mode from the ROADMAP: comparing its cluster count
-    /// with the per-day counts shows how much the day boundary fragments
-    /// slow-moving families.
-    ///
-    /// Read-mostly: memoized neighborhoods computed here stay cached (they
-    /// are exact for any view), so labels of later days are unaffected.
+    /// Cluster the entire retention window as one batch — see
+    /// [`KizzleService::cluster_window`](crate::KizzleService::cluster_window).
     pub fn cluster_window(&mut self) -> (Clustering, DistributedStats) {
         let ids: Vec<SampleId> = self
             .day_views
@@ -238,56 +195,10 @@ impl KizzleCompiler {
         self.engine.cluster_day(&ids)
     }
 
-    /// Tokenize a document and truncate it to the configured prefix length.
-    #[must_use]
-    pub fn tokenize_capped(&self, document: &str) -> TokenStream {
-        kizzle_js::tokenize_document_capped(document, self.config.token_cap)
-    }
-
-    /// Process one day of samples: cluster, label, and generate signatures.
-    /// The generated signatures are added to the active set immediately
-    /// (Kizzle's same-day response).
-    ///
-    /// A thin wrapper over the crate-internal session phases (open →
-    /// ingest → seal) that [`DaySession`](crate::DaySession) drives
-    /// incrementally — here one ingest covers the whole day. The
-    /// mini-batched session produces a byte-identical report
-    /// (property-tested in `tests/service_properties.rs`).
-    pub fn process_day(&mut self, date: SimDate, samples: &[Sample]) -> DayReport {
-        let streams: Vec<TokenStream> = {
-            let _ingest_span = kizzle_telemetry::span!("day.ingest");
-            samples
-                .iter()
-                .map(|s| self.tokenize_capped(&s.html))
-                .collect()
-        };
-        self.process_day_tokenized(date, samples, &streams)
-    }
-
-    /// Like [`KizzleCompiler::process_day`] but reusing already tokenized
-    /// streams (the evaluation harness tokenizes once and shares the streams
-    /// between Kizzle and its metrics).
-    pub fn process_day_tokenized(
-        &mut self,
-        date: SimDate,
-        samples: &[Sample],
-        streams: &[TokenStream],
-    ) -> DayReport {
-        assert_eq!(
-            samples.len(),
-            streams.len(),
-            "samples and streams must be parallel"
-        );
-        let stamp = self.open_day(date);
-        let day_ids = self.ingest_streams(stamp, streams);
-        self.seal_day(date, stamp, &samples, streams, day_ids)
-    }
-
     /// Session phase 1 — open a day: advance the day counter, retire
     /// samples (and day views) that aged out of the retention window, and
-    /// return the day's stamp. Front half of the old monolithic
-    /// `process_day`, split out so ingest can start before the day's data
-    /// has fully arrived.
+    /// return the day's stamp. Split from ingest so ingest can start
+    /// before the day's data has fully arrived.
     pub(crate) fn open_day(&mut self, date: SimDate) -> u64 {
         let stamp = u64::try_from(date.absolute_day()).unwrap_or(0);
         self.last_day = Some(date);
@@ -470,20 +381,6 @@ impl KizzleCompiler {
             pipeline: PipelineStats::default(),
         }
     }
-
-    /// Scan an already tokenized sample against the deployed signatures.
-    #[must_use]
-    pub fn scan_stream(&self, stream: &TokenStream) -> Option<KitFamily> {
-        self.signatures
-            .scan_stream(stream)
-            .and_then(|hit| family_from_label(&hit.label))
-    }
-
-    /// Scan a raw document against the deployed signatures.
-    #[must_use]
-    pub fn scan(&self, document: &str) -> Option<KitFamily> {
-        self.scan_stream(&self.tokenize_capped(document))
-    }
 }
 
 /// Map a signature label back to the kit family it names.
@@ -492,11 +389,21 @@ pub fn family_from_label(label: &str) -> Option<KitFamily> {
     KitFamily::ALL.into_iter().find(|f| f.name() == label)
 }
 
+/// Tokenize a mini-batch under the `day.ingest` span, each document
+/// capped at `token_cap` tokens — the one tokenize step every ingest path
+/// (single-shot, direct session ingest, channel worker) runs.
+pub(crate) fn tokenize_batch(samples: &[Sample], token_cap: usize) -> Vec<TokenStream> {
+    let _ingest_span = kizzle_telemetry::span!("day.ingest");
+    samples
+        .iter()
+        .map(|s| kizzle_js::tokenize_document_capped(&s.html, token_cap))
+        .collect()
+}
+
 /// Read-only, position-addressed view of a day's buffered samples for the
-/// seal phases. The single-shot paths borrow a contiguous `&[Sample]`; the
-/// session buffers `Arc`-shared chunks (so `ingest_owned`/`ingest_shared`
-/// never copy the day a second time) and exposes them through the same
-/// trait.
+/// seal phases. The single-shot path borrows a contiguous `&[Sample]`; the
+/// session buffers `Arc`-shared chunks (so an `Arc<[Sample]>` batch is
+/// never copied a second time) and exposes them through the same trait.
 pub(crate) trait SampleSource {
     /// Number of buffered samples (day positions).
     fn count(&self) -> usize;
@@ -517,14 +424,15 @@ impl SampleSource for &[Sample] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kizzle_corpus::{GraywareStream, GroundTruth, KitModel, StreamConfig};
+    use crate::KizzleService;
+    use kizzle_corpus::{GraywareStream, GroundTruth, KitModel, SampleId, StreamConfig};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
-    fn compiler() -> KizzleCompiler {
+    fn service() -> KizzleService {
         let reference =
             ReferenceCorpus::seeded_from_models(SimDate::new(2014, 8, 1), &KizzleConfig::fast());
-        KizzleCompiler::new(KizzleConfig::fast(), reference)
+        KizzleService::new(KizzleConfig::fast(), reference).expect("fast config is valid")
     }
 
     /// A small, malicious-heavy day so clusters form reliably in tests.
@@ -544,30 +452,31 @@ mod tests {
 
     #[test]
     fn process_day_finds_clusters_and_generates_signatures() {
-        let mut compiler = compiler();
+        let mut service = service();
         let date = SimDate::new(2014, 8, 5);
         let day = test_day(date, 3);
-        let report = compiler.process_day(date, &day);
+        let report = service.process_day(date, &day).expect("day processes");
 
         assert_eq!(report.samples, day.len());
         assert!(report.clusters > 0);
         assert!(report.malicious_clusters() >= 2, "report: {report}");
         assert!(!report.new_signatures.is_empty());
-        assert_eq!(compiler.signatures().len(), report.new_signatures.len());
+        assert_eq!(service.signatures().len(), report.new_signatures.len());
     }
 
     #[test]
     fn generated_signatures_detect_same_day_samples() {
-        let mut compiler = compiler();
+        let mut service = service();
         let date = SimDate::new(2014, 8, 5);
         let day = test_day(date, 4);
-        compiler.process_day(date, &day);
+        service.process_day(date, &day).expect("day processes");
+        let matcher = service.matcher();
 
         let mut detected_malicious = 0usize;
         let mut total_malicious = 0usize;
         let mut false_positives = 0usize;
         for sample in &day {
-            let hit = compiler.scan(&sample.html);
+            let hit = matcher.scan(&sample.html);
             match sample.truth {
                 GroundTruth::Malicious(_) => {
                     total_malicious += 1;
@@ -595,13 +504,14 @@ mod tests {
 
     #[test]
     fn detected_family_matches_ground_truth() {
-        let mut compiler = compiler();
+        let mut service = service();
         let date = SimDate::new(2014, 8, 8);
         let day = test_day(date, 5);
-        compiler.process_day(date, &day);
+        service.process_day(date, &day).expect("day processes");
+        let matcher = service.matcher();
         for sample in &day {
             if let (GroundTruth::Malicious(truth), Some(found)) =
-                (sample.truth, compiler.scan(&sample.html))
+                (sample.truth, matcher.scan(&sample.html))
             {
                 assert_eq!(found, truth, "family confusion on {}", sample.id);
             }
@@ -610,22 +520,24 @@ mod tests {
 
     #[test]
     fn signatures_accumulate_across_days() {
-        let mut compiler = compiler();
+        let mut service = service();
         let d1 = SimDate::new(2014, 8, 5);
         let d2 = SimDate::new(2014, 8, 20);
-        compiler.process_day(d1, &test_day(d1, 6));
-        let count_after_day1 = compiler.signatures().len();
-        compiler.process_day(d2, &test_day(d2, 7));
-        assert!(compiler.signatures().len() >= count_after_day1);
+        service.process_day(d1, &test_day(d1, 6)).expect("day 1");
+        let count_after_day1 = service.signatures().len();
+        service.process_day(d2, &test_day(d2, 7)).expect("day 2");
+        assert!(service.signatures().len() >= count_after_day1);
         // Nuclear rotated its delimiter between the two dates, so a second
         // Nuclear signature must exist if Nuclear clustered on both days.
-        let nuclear_sigs = compiler.signatures().for_label(KitFamily::Nuclear.name());
-        assert!(!nuclear_sigs.is_empty());
+        assert!(!service
+            .signatures()
+            .for_label(KitFamily::Nuclear.name())
+            .is_empty());
     }
 
     #[test]
     fn benign_only_day_produces_no_signatures() {
-        let mut compiler = compiler();
+        let mut service = service();
         let date = SimDate::new(2014, 8, 10);
         let config = StreamConfig {
             samples_per_day: 40,
@@ -634,16 +546,19 @@ mod tests {
             seed: 8,
         };
         let day = GraywareStream::new(config).generate_day(date);
-        let report = compiler.process_day(date, &day);
+        let report = service.process_day(date, &day).expect("day processes");
         assert_eq!(report.malicious_clusters(), 0, "report: {report:?}");
-        assert!(compiler.signatures().is_empty());
-        assert!(day.iter().all(|s| compiler.scan(&s.html).is_none()));
+        assert!(service.signatures().is_empty());
+        let matcher = service.matcher();
+        assert!(day.iter().all(|s| matcher.scan(&s.html).is_none()));
     }
 
     #[test]
     fn empty_day_is_handled() {
-        let mut compiler = compiler();
-        let report = compiler.process_day(SimDate::new(2014, 8, 1), &[]);
+        let mut service = service();
+        let report = service
+            .process_day(SimDate::new(2014, 8, 1), &[])
+            .expect("day processes");
         assert_eq!(report.samples, 0);
         assert_eq!(report.clusters, 0);
         assert!(report.new_signatures.is_empty());
@@ -651,12 +566,19 @@ mod tests {
 
     #[test]
     fn token_cap_is_applied() {
-        let compiler = compiler();
+        let config = KizzleConfig::fast();
         let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let html =
-            KitModel::new(KitFamily::Rig).generate_sample(SimDate::new(2014, 8, 3), &mut rng);
-        let stream = compiler.tokenize_capped(&html);
-        assert!(stream.len() <= compiler.config().token_cap);
+        let date = SimDate::new(2014, 8, 3);
+        let html = KitModel::new(KitFamily::Rig).generate_sample(date, &mut rng);
+        let sample = Sample::new(
+            SampleId(0),
+            date,
+            html,
+            GroundTruth::Malicious(KitFamily::Rig),
+        );
+        let streams = tokenize_batch(&[sample], config.token_cap);
+        assert_eq!(streams.len(), 1);
+        assert!(streams[0].len() <= config.token_cap);
     }
 
     #[test]
@@ -669,36 +591,36 @@ mod tests {
 
     #[test]
     fn engine_retains_samples_within_the_retention_window() {
-        let mut compiler = compiler();
-        assert!(compiler.engine().is_empty());
+        let mut service = service();
+        assert!(service.engine().is_empty());
         let d1 = SimDate::new(2014, 8, 5);
         let day1 = test_day(d1, 3);
-        compiler.process_day(d1, &day1);
-        let live_after_day1 = compiler.engine().len();
+        service.process_day(d1, &day1).expect("day 1");
+        let live_after_day1 = service.engine().len();
         assert!(live_after_day1 > 0);
         // The next day (inside the fast() retention window of 2) keeps
         // yesterday's samples warm...
         let d2 = SimDate::new(2014, 8, 6);
-        compiler.process_day(d2, &test_day(d2, 4));
-        assert!(compiler.engine().len() >= live_after_day1);
+        service.process_day(d2, &test_day(d2, 4)).expect("day 2");
+        assert!(service.engine().len() >= live_after_day1);
         // ...and a far-future day retires everything older.
         let d3 = SimDate::new(2014, 9, 20);
         let day3 = test_day(d3, 5);
-        compiler.process_day(d3, &day3);
-        assert!(compiler.engine().len() <= day3.len());
+        service.process_day(d3, &day3).expect("day 3");
+        assert!(service.engine().len() <= day3.len());
     }
 
     #[test]
     fn reprocessing_identical_content_hits_the_warm_cache() {
-        let mut compiler = compiler();
+        let mut service = service();
         let d1 = SimDate::new(2014, 8, 5);
         let day = test_day(d1, 3);
-        let first = compiler.process_day(d1, &day);
+        let first = service.process_day(d1, &day).expect("day 1");
         // The same content the next day: every class-string deduplicates
         // onto the live entries, so the index answers purely from its
         // maintained caches.
         let d2 = SimDate::new(2014, 8, 6);
-        let second = compiler.process_day(d2, &day);
+        let second = service.process_day(d2, &day).expect("day 2");
         assert_eq!(second.clusters, first.clusters);
         assert_eq!(second.noise, first.noise);
         assert_eq!(
@@ -719,9 +641,11 @@ mod tests {
 
     #[test]
     fn day_report_display_is_informative() {
-        let mut compiler = compiler();
+        let mut service = service();
         let date = SimDate::new(2014, 8, 5);
-        let report = compiler.process_day(date, &test_day(date, 9));
+        let report = service
+            .process_day(date, &test_day(date, 9))
+            .expect("day processes");
         let text = report.to_string();
         assert!(text.contains("8/5/14"));
         assert!(text.contains("clusters"));

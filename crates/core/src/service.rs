@@ -2,22 +2,17 @@
 //! side, lock-free cloneable read handles on the serving side.
 //!
 //! The paper's pipeline is explicitly two-sided — a slow compiler that
-//! re-clusters daily and a fast matcher that scans live traffic — but the
-//! pre-façade API was a single `KizzleCompiler` monolith: `process_day`
-//! demanded the whole day up front, and `scan` was unusable while a day
-//! compiled because both borrowed the same object. [`KizzleService`]
-//! splits the two sides:
+//! re-clusters daily and a fast matcher that scans live traffic — and
+//! [`KizzleService`] splits the two sides:
 //!
 //! * **Ingest** is a session: [`KizzleService::begin_day`] opens a
 //!   [`DaySession`] that accepts mini-batches as they arrive
 //!   ([`DaySession::ingest`] tokenizes, deduplicates and store-inserts
 //!   eagerly, amortizing the day's front half across the arrival window)
 //!   and [`DaySession::seal`] runs cluster → winnow-label → signature
-//!   generation. Sealing is byte-identical to the old single-shot
-//!   `process_day` over the same sample sequence — held to that by the
-//!   property tests in `tests/service_properties.rs` — and
-//!   [`KizzleCompiler::process_day`] survives as a thin wrapper over the
-//!   same phases.
+//!   generation. Sealing is byte-identical to the single-shot
+//!   [`KizzleService::process_day`] over the same sample sequence — held
+//!   to that by the property tests in `tests/service_properties.rs`.
 //! * **Serving** is a handle: [`KizzleService::matcher`] hands out cheap,
 //!   cloneable, `Send + Sync` [`Matcher`]s over an epoch-swapped
 //!   `Arc<SignatureSet>`. Scans keep running against the previous day's
@@ -31,10 +26,8 @@
 //! * **The ingest side pipelines.** [`DaySession::pipeline`] puts a
 //!   bounded channel and one worker thread in front of the session:
 //!   cloneable [`IngestProducer`]s submit mini-batches
-//!   ([`IngestProducer::send`], `send_owned`, `send_shared` — the
-//!   `Arc<[Sample]>` variant avoids buffering the day twice — or
-//!   `send_tokenized`) and the worker tokenizes/dedups/store-inserts
-//!   off the producers' threads, a full channel blocking them
+//!   ([`IngestProducer::send`]) and the worker tokenizes, dedups and
+//!   store-inserts off the producers' threads, a full channel blocking them
 //!   (backpressure, counted in [`DayReport`]`.pipeline`). And the seal
 //!   overlaps: [`DaySession::seal_background`] runs the previous day's
 //!   clustering on a background thread while
@@ -42,6 +35,13 @@
 //!   immediately — [`SealHandle::wait`] joins the report. Both paths
 //!   stay byte-identical to the synchronous single-shot run (threaded
 //!   property tests in `tests/service_properties.rs`).
+//!
+//! A day has exactly five ways in: [`KizzleService::process_day`] (the
+//! whole day at once), [`DaySession::ingest`], [`DaySession::pipeline`],
+//! [`DaySession::pipeline_auto`] and [`IngestProducer::send`]. The batch
+//! calls take `impl Into<Arc<[Sample]>>`: a `&[Sample]` is copied once, a
+//! `Vec<Sample>` is moved, and an `Arc<[Sample]>` is shared, so a day the
+//! caller already holds is never buffered twice.
 //!
 //! ```
 //! use kizzle::prelude::*;
@@ -100,7 +100,7 @@
 //! // while N's clustering runs.
 //! let sealing = session.seal_background();
 //! let mut next = service.begin_day(date.next())?;
-//! next.ingest_shared(Arc::clone(&day));
+//! next.ingest(Arc::clone(&day));
 //! let report_n = sealing.wait();
 //! let report_n1 = next.seal();
 //! assert_eq!(report_n.samples, day.len());
@@ -110,7 +110,9 @@
 
 use crate::config::KizzleConfig;
 use crate::error::KizzleError;
-use crate::pipeline::{family_from_label, DayReport, KizzleCompiler, PipelineStats, SampleSource};
+use crate::pipeline::{
+    family_from_label, tokenize_batch, DayReport, KizzleCompiler, PipelineStats, SampleSource,
+};
 use crate::reference::ReferenceCorpus;
 use crate::snapshot::ResumeReport;
 use crate::source::{EpochSource, SignatureSource};
@@ -158,7 +160,7 @@ impl ServiceCore {
 }
 
 /// The two-sided Kizzle service: session-based streaming ingest over the
-/// warm [`KizzleCompiler`], and [`Matcher`] read handles over the
+/// warm compiler state, and [`Matcher`] read handles over the
 /// epoch-swapped published signature set. See the [module docs](self) for
 /// the full picture and a usage example.
 ///
@@ -224,17 +226,15 @@ impl KizzleService {
         )))
     }
 
-    /// Wrap an existing compiler (e.g. one restored by
-    /// [`KizzleCompiler::load_state`]), publishing its current signature
-    /// set as epoch 0.
-    #[must_use]
-    pub fn from_compiler(compiler: KizzleCompiler) -> Self {
-        let set = compiler.signatures_shared();
+    /// Wrap a compiler (fresh, or restored from a snapshot chain),
+    /// publishing its current signature set as epoch 0.
+    fn from_compiler(compiler: KizzleCompiler) -> Self {
+        let set = Arc::clone(&compiler.signatures);
         // Seal at publish time: scans on fresh Matcher handles must never
         // pay the pipeline build (a resumed set usually arrives pre-sealed
         // from the snapshot's scan-pipeline section).
         set.seal();
-        let config = *compiler.config();
+        let config = compiler.config;
         let shared = Arc::new(EpochSource::new(set, config.token_cap));
         KizzleService {
             core: Arc::new(ServiceCore {
@@ -247,7 +247,7 @@ impl KizzleService {
         }
     }
 
-    fn lock_compiler(&self) -> MutexGuard<'_, KizzleCompiler> {
+    pub(crate) fn lock_compiler(&self) -> MutexGuard<'_, KizzleCompiler> {
         self.core.compiler.lock().expect("compiler lock")
     }
 
@@ -293,9 +293,10 @@ impl KizzleService {
     }
 
     /// Persist the complete service state into `state_dir` as the next
-    /// link of the snapshot chain (see [`KizzleCompiler::save_state`]).
-    /// Waits out an in-flight background seal first, so what is persisted
-    /// is always a sealed day boundary.
+    /// link of the snapshot chain, compacting to a full base every
+    /// [`DEFAULT_MAX_DELTAS`](crate::DEFAULT_MAX_DELTAS) deltas. Waits out
+    /// an in-flight background seal first, so what is persisted is always
+    /// a sealed day boundary.
     pub fn save(&self, state_dir: &Path) -> Result<(), KizzleError> {
         self.drain_pending();
         self.lock_compiler().save_state(state_dir)
@@ -352,7 +353,7 @@ impl KizzleService {
     }
 
     fn check_monotone(&self, date: SimDate) -> Result<(), KizzleError> {
-        if let Some(last) = self.lock_compiler().last_processed_day() {
+        if let Some(last) = self.lock_compiler().last_day {
             if date < last {
                 return Err(KizzleError::Ingest(format!(
                     "day {date} precedes the last opened day {last}"
@@ -375,10 +376,12 @@ impl KizzleService {
         Ok(())
     }
 
-    /// Single-shot convenience: process the whole day through the same
-    /// phases the session drives (no buffering — the samples are borrowed
-    /// straight through the compiler) and publish the grown set.
-    /// Byte-identical to mini-batched ingest of the same sequence.
+    /// Single-shot convenience: process the whole day synchronously —
+    /// open, one ingest of the borrowed slice, seal — and publish the
+    /// grown set. No session buffering: the samples are borrowed straight
+    /// through the compiler. The reference the other entry points are
+    /// property-tested against: mini-batched, pipelined and
+    /// background-sealed ingest of the same sequence are byte-identical.
     pub fn process_day(
         &mut self,
         date: SimDate,
@@ -386,7 +389,13 @@ impl KizzleService {
     ) -> Result<DayReport, KizzleError> {
         self.drain_pending();
         self.check_monotone(date)?;
-        let report = self.lock_compiler().process_day(date, samples);
+        let streams = tokenize_batch(samples, self.config.token_cap);
+        let report = {
+            let mut compiler = self.lock_compiler();
+            let stamp = compiler.open_day(date);
+            let day_ids = compiler.ingest_streams(stamp, &streams);
+            compiler.seal_day(date, stamp, &samples, &streams, day_ids)
+        };
         self.publish_current();
         Ok(report)
     }
@@ -395,32 +404,9 @@ impl KizzleService {
     /// scan ever pays the build) and swap the shared handle in.
     fn publish_current(&self) {
         let _publish_span = kizzle_telemetry::span!("day.publish");
-        let set = self.lock_compiler().signatures_shared();
+        let set = Arc::clone(&self.lock_compiler().signatures);
         set.seal();
         self.core.shared.publish(set);
-    }
-
-    /// Like [`KizzleService::process_day`] with already tokenized streams
-    /// (the evaluation harness tokenizes once and shares the streams
-    /// between Kizzle and its metrics). `samples` and `streams` must be
-    /// parallel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices have different lengths.
-    pub fn process_day_tokenized(
-        &mut self,
-        date: SimDate,
-        samples: &[Sample],
-        streams: &[TokenStream],
-    ) -> Result<DayReport, KizzleError> {
-        self.drain_pending();
-        self.check_monotone(date)?;
-        let report = self
-            .lock_compiler()
-            .process_day_tokenized(date, samples, streams);
-        self.publish_current();
-        Ok(report)
     }
 
     /// A cheap, cloneable, `Send + Sync` read handle over the published
@@ -482,48 +468,19 @@ impl KizzleService {
     /// monotone check compares against. Survives snapshot save/load.
     #[must_use]
     pub fn last_processed_day(&self) -> Option<SimDate> {
-        self.lock_compiler().last_processed_day()
+        self.lock_compiler().last_day
     }
 
-    /// Cluster the entire retention window as one batch (the multi-day
-    /// eval mode) — see [`KizzleCompiler::cluster_window`].
+    /// Cluster the *entire retention window* as one batch — every retained
+    /// day's samples in day order, duplicates included, through the same
+    /// partition/reduce dataflow as a seal. The multi-day eval mode:
+    /// comparing its cluster count with the per-day counts shows how much
+    /// the day boundary fragments slow-moving families. Memoized
+    /// neighborhoods computed here stay cached (they are exact for any
+    /// view), so labels of later days are unaffected.
     pub fn cluster_window(&mut self) -> (Clustering, DistributedStats) {
         self.drain_pending();
         self.lock_compiler().cluster_window()
-    }
-
-    /// Borrow the underlying compiler (escape hatch for evaluation
-    /// harnesses that need pipeline internals the façade does not carry).
-    /// Guarded like [`KizzleService::signatures`].
-    #[must_use]
-    pub fn compiler(&self) -> CompilerRef<'_> {
-        self.drain_pending();
-        CompilerRef(self.lock_compiler())
-    }
-
-    /// Unwrap the service back into its compiler.
-    #[must_use]
-    pub fn into_compiler(self) -> KizzleCompiler {
-        self.drain_pending();
-        match Arc::try_unwrap(self.core) {
-            Ok(core) => core.compiler.into_inner().expect("compiler lock"),
-            // A detached worker from an abandoned session still holds the
-            // core; clone the warm state out instead of waiting for it.
-            Err(core) => core.compiler.lock().expect("compiler lock").clone(),
-        }
-    }
-}
-
-/// Read guard over the service's [`KizzleCompiler`], returned by
-/// [`KizzleService::compiler`]. Holds the compiler lock until dropped.
-#[derive(Debug)]
-pub struct CompilerRef<'a>(MutexGuard<'a, KizzleCompiler>);
-
-impl Deref for CompilerRef<'_> {
-    type Target = KizzleCompiler;
-
-    fn deref(&self) -> &KizzleCompiler {
-        &self.0
     }
 }
 
@@ -536,7 +493,7 @@ impl Deref for SignaturesRef<'_> {
     type Target = SignatureSet;
 
     fn deref(&self) -> &SignatureSet {
-        self.0.signatures()
+        &self.0.signatures
     }
 }
 
@@ -549,7 +506,7 @@ impl Deref for ReferenceRef<'_> {
     type Target = ReferenceCorpus;
 
     fn deref(&self) -> &ReferenceCorpus {
-        self.0.reference()
+        &self.0.reference
     }
 }
 
@@ -562,7 +519,7 @@ impl Deref for EngineRef<'_> {
     type Target = CorpusEngine;
 
     fn deref(&self) -> &CorpusEngine {
-        self.0.engine()
+        &self.0.engine
     }
 }
 
@@ -610,9 +567,9 @@ impl SessionState {
     }
 }
 
-/// The day's samples as `Arc`-shared chunks in application order —
-/// [`DaySession::ingest_owned`]/[`DaySession::ingest_shared`] hand their
-/// allocation straight in, so large days are buffered once, not twice.
+/// The day's samples as `Arc`-shared chunks in application order — an
+/// owned or shared batch hands its allocation straight in, so large days
+/// are buffered once, not twice.
 #[derive(Debug, Default)]
 struct SampleRope {
     chunks: Vec<Arc<[Sample]>>,
@@ -651,8 +608,6 @@ impl SampleSource for SampleRope {
 enum Job {
     /// Tokenize on the worker, then apply.
     Raw(Arc<[Sample]>),
-    /// Apply with caller-provided token streams.
-    Tokenized(Arc<[Sample]>, Vec<TokenStream>),
     /// Seal cutoff: the worker stops reading the channel and exits.
     Finish,
 }
@@ -731,31 +686,12 @@ fn submit_job(state: &SessionState, tx: &SyncSender<Job>, job: Job) -> bool {
 /// received and discarded, so a producer blocked on a full channel always
 /// unblocks.
 fn ingest_worker(state: &SessionState, rx: &Receiver<Job>) {
-    while let Ok(job) = rx.recv() {
-        let (samples, streams) = match job {
-            Job::Finish => break,
-            Job::Raw(samples) => {
-                state.queued.fetch_sub(1, Ordering::Relaxed);
-                if state.abort.load(Ordering::Acquire) {
-                    continue;
-                }
-                let streams = {
-                    let _ingest_span = kizzle_telemetry::span!("day.ingest");
-                    samples
-                        .iter()
-                        .map(|s| kizzle_js::tokenize_document_capped(&s.html, state.token_cap))
-                        .collect()
-                };
-                (samples, streams)
-            }
-            Job::Tokenized(samples, streams) => {
-                state.queued.fetch_sub(1, Ordering::Relaxed);
-                if state.abort.load(Ordering::Acquire) {
-                    continue;
-                }
-                (samples, streams)
-            }
-        };
+    while let Ok(Job::Raw(samples)) = rx.recv() {
+        state.queued.fetch_sub(1, Ordering::Relaxed);
+        if state.abort.load(Ordering::Acquire) {
+            continue;
+        }
+        let streams = tokenize_batch(&samples, state.token_cap);
         apply_batch(state, samples, streams);
     }
 }
@@ -777,48 +713,16 @@ pub struct IngestProducer {
 }
 
 impl IngestProducer {
-    /// Submit a mini-batch by copy (the batch is cloned into shared
-    /// storage). Empty batches are accepted no-ops.
-    pub fn send(&self, samples: &[Sample]) -> bool {
-        if samples.is_empty() {
-            return !self.state.abort.load(Ordering::Acquire);
-        }
-        self.send_shared(samples.into())
-    }
-
-    /// Submit an owned mini-batch — moved, not copied.
-    pub fn send_owned(&self, samples: Vec<Sample>) -> bool {
-        if samples.is_empty() {
-            return !self.state.abort.load(Ordering::Acquire);
-        }
-        self.send_shared(samples.into())
-    }
-
-    /// Submit an `Arc`-shared mini-batch — the session buffers the same
-    /// allocation the caller keeps, so the day is never held twice.
-    pub fn send_shared(&self, samples: Arc<[Sample]>) -> bool {
+    /// Submit a mini-batch: a `&[Sample]` is copied into shared storage,
+    /// a `Vec<Sample>` is moved, and an `Arc<[Sample]>` is shared — the
+    /// session buffers the caller's allocation, so a day held elsewhere is
+    /// never duplicated. Empty batches are accepted no-ops.
+    pub fn send(&self, samples: impl Into<Arc<[Sample]>>) -> bool {
+        let samples = samples.into();
         if samples.is_empty() {
             return !self.state.abort.load(Ordering::Acquire);
         }
         submit_job(&self.state, &self.tx, Job::Raw(samples))
-    }
-
-    /// Submit an `Arc`-shared mini-batch with already tokenized streams
-    /// (position-parallel with `samples`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    pub fn send_tokenized(&self, samples: Arc<[Sample]>, streams: Vec<TokenStream>) -> bool {
-        assert_eq!(
-            samples.len(),
-            streams.len(),
-            "samples and streams must be parallel"
-        );
-        if samples.is_empty() {
-            return !self.state.abort.load(Ordering::Acquire);
-        }
-        submit_job(&self.state, &self.tx, Job::Tokenized(samples, streams))
     }
 }
 
@@ -853,11 +757,10 @@ impl IngestProducer {
 /// in `tests/service_properties.rs`); the [`DayReport::pipeline`] counters
 /// record how hard the frontend worked.
 ///
-/// The direct ingest calls buffer sample and stream copies until seal
+/// The session buffers every batch and its token streams until seal
 /// (cluster member indices are day-positional, and labeling/signature
-/// generation need the originals); [`DaySession::ingest_owned`] /
-/// [`DaySession::ingest_shared`] move or share the allocation instead, so
-/// a large day is held once, not twice.
+/// generation need the originals). A `Vec<Sample>` or `Arc<[Sample]>`
+/// batch hands its allocation in, so a large day is held once, not twice.
 #[derive(Debug)]
 pub struct DaySession<'a> {
     service: &'a mut KizzleService,
@@ -938,27 +841,14 @@ impl DaySession<'_> {
     /// the live entry), and index fresh content immediately. When the
     /// pipelined frontend is active the batch rides the channel instead
     /// (tokenized by the worker), keeping one FIFO order across direct and
-    /// producer submissions.
-    pub fn ingest(&mut self, samples: &[Sample]) {
-        if samples.is_empty() {
-            return;
-        }
-        self.ingest_shared(samples.into());
-    }
-
-    /// Like [`DaySession::ingest`], taking ownership of the batch — the
-    /// day is buffered once instead of copied into the session.
-    pub fn ingest_owned(&mut self, samples: Vec<Sample>) {
-        if samples.is_empty() {
-            return;
-        }
-        self.ingest_shared(samples.into());
-    }
-
-    /// Like [`DaySession::ingest`] over an `Arc`-shared batch — the
-    /// session buffers the caller's allocation, so a large day held
-    /// elsewhere is never duplicated.
-    pub fn ingest_shared(&mut self, samples: Arc<[Sample]>) {
+    /// producer submissions. Takes the same batch forms as
+    /// [`IngestProducer::send`].
+    ///
+    /// An empty batch is a no-op: it does **not** open the day, so a
+    /// frontend that flushes on a timer and sends empty ticks never
+    /// commits a day (or runs its retention sweep) ahead of real traffic.
+    pub fn ingest(&mut self, samples: impl Into<Arc<[Sample]>>) {
+        let samples = samples.into();
         if samples.is_empty() {
             return;
         }
@@ -966,47 +856,9 @@ impl DaySession<'_> {
             submit_job(&self.state, &frontend.tx, Job::Raw(samples));
             return;
         }
-        let streams: Vec<TokenStream> = {
-            let _ingest_span = kizzle_telemetry::span!("day.ingest");
-            samples
-                .iter()
-                .map(|s| kizzle_js::tokenize_document_capped(&s.html, self.state.token_cap))
-                .collect()
-        };
+        let streams = tokenize_batch(&samples, self.state.token_cap);
         self.state.submitted.fetch_add(1, Ordering::Relaxed);
         apply_batch(&self.state, samples, streams);
-    }
-
-    /// Like [`DaySession::ingest`] with already tokenized streams (the
-    /// evaluation harness tokenizes once and shares the streams between
-    /// Kizzle and its metrics). `samples` and `streams` must be parallel.
-    ///
-    /// An empty batch is a no-op: it does **not** open the day, so a
-    /// frontend that flushes on a timer and sends empty ticks never
-    /// commits a day (or runs its retention sweep) ahead of real traffic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices have different lengths.
-    pub fn ingest_tokenized(&mut self, samples: &[Sample], streams: &[TokenStream]) {
-        assert_eq!(
-            samples.len(),
-            streams.len(),
-            "samples and streams must be parallel"
-        );
-        if samples.is_empty() {
-            return;
-        }
-        if let Some(frontend) = &self.frontend {
-            submit_job(
-                &self.state,
-                &frontend.tx,
-                Job::Tokenized(samples.into(), streams.to_vec()),
-            );
-            return;
-        }
-        self.state.submitted.fetch_add(1, Ordering::Relaxed);
-        apply_batch(&self.state, samples.into(), streams.to_vec());
     }
 
     /// Flush the frontend and stop its worker: send the `Finish` sentinel
@@ -1035,7 +887,7 @@ impl DaySession<'_> {
     /// prototypes against the reference corpus, generate signatures for
     /// malicious clusters, and **publish** the grown signature set to
     /// every [`Matcher`] handle atomically. Byte-identical to single-shot
-    /// [`KizzleCompiler::process_day`] over the same sample sequence.
+    /// [`KizzleService::process_day`] over the same sample sequence.
     ///
     /// Sealing is an explicit commit even when nothing was ingested: a
     /// quiet cron day still advances the day cursor and runs the retention
@@ -1123,7 +975,7 @@ impl DaySession<'_> {
                     let mut compiler = core.compiler.lock().expect("compiler lock");
                     let report =
                         compiler.label_and_sign(date, &samples, &streams, clustering, stats);
-                    (report, compiler.signatures_shared())
+                    (report, Arc::clone(&compiler.signatures))
                 };
                 report.pipeline = pipeline;
                 report.pipeline.record_to_registry();
@@ -1416,6 +1268,13 @@ mod tests {
         KizzleService::new(config, reference).expect("fast config is valid")
     }
 
+    /// A report with the wall-clock/work-counter stats stripped.
+    fn normalized(mut report: DayReport) -> DayReport {
+        report.clustering_stats = Default::default();
+        report.pipeline = Default::default();
+        report
+    }
+
     fn test_day(date: SimDate, seed: u64) -> Vec<Sample> {
         let config = StreamConfig {
             samples_per_day: 48,
@@ -1446,12 +1305,7 @@ mod tests {
         assert_eq!(session.ingested(), day.len());
         let got = session.seal();
 
-        let normalize = |mut report: DayReport| {
-            report.clustering_stats = Default::default();
-            report.pipeline = Default::default();
-            report
-        };
-        assert_eq!(normalize(want), normalize(got));
+        assert_eq!(normalized(want), normalized(got));
         assert_eq!(&*single.signatures(), &*batched.signatures());
         assert_eq!(single.engine().len(), batched.engine().len());
     }
@@ -1477,12 +1331,7 @@ mod tests {
 
         assert!(got.pipeline.submitted_batches > 0);
         assert_eq!(got.pipeline.submitted_batches, got.pipeline.applied_batches);
-        let normalize = |mut report: DayReport| {
-            report.clustering_stats = Default::default();
-            report.pipeline = Default::default();
-            report
-        };
-        assert_eq!(normalize(want), normalize(got));
+        assert_eq!(normalized(want), normalized(got));
         assert_eq!(&*single.signatures(), &*piped.signatures());
         assert_eq!(single.engine().len(), piped.engine().len());
     }
@@ -1507,7 +1356,7 @@ mod tests {
             let stalled = producer.clone();
             let sender = std::thread::spawn(move || {
                 for chunk in chunks {
-                    assert!(stalled.send_owned(chunk));
+                    assert!(stalled.send(chunk));
                 }
             });
             while session.state.stalls.load(Ordering::Relaxed) == 0 {
@@ -1554,29 +1403,18 @@ mod tests {
 
         let mut overlapped = test_service();
         let mut session = overlapped.begin_day(d1).expect("day opens");
-        session.ingest(&day1);
-        let handle = overlapped_seal(session);
+        session.ingest(day1.as_slice());
+        let handle = session.seal_background();
         // Day d+1 begins and ingests while day d's seal is in flight.
         let mut next = overlapped.begin_day(d2).expect("next day opens");
-        next.ingest(&day2);
+        next.ingest(day2.as_slice());
         let got1 = handle.wait();
         let got2 = next.seal();
 
-        let normalize = |mut report: DayReport| {
-            report.clustering_stats = Default::default();
-            report.pipeline = Default::default();
-            report
-        };
-        assert_eq!(normalize(want1), normalize(got1));
-        assert_eq!(normalize(want2), normalize(got2));
+        assert_eq!(normalized(want1), normalized(got1));
+        assert_eq!(normalized(want2), normalized(got2));
         assert_eq!(&*serial.signatures(), &*overlapped.signatures());
         assert_eq!(serial.engine().len(), overlapped.engine().len());
-    }
-
-    /// Seal in the background (a thin wrapper so the borrow of the service
-    /// ends before `begin_day(d+1)`).
-    fn overlapped_seal(session: DaySession<'_>) -> SealHandle {
-        session.seal_background()
     }
 
     #[test]
@@ -1591,7 +1429,7 @@ mod tests {
         assert_eq!(report.samples, 8);
         // The seal is the cutoff: the channel is gone, sends are refused.
         assert!(!producer.send(&day[8..]));
-        assert!(!producer.send_owned(day[8..].to_vec()));
+        assert!(!producer.send(day[8..].to_vec()));
     }
 
     #[test]
@@ -1599,7 +1437,6 @@ mod tests {
         let date = SimDate::new(2014, 8, 5);
         let day = Arc::<[Sample]>::from(test_day(date, 41));
         let mut service = test_service();
-        let live_before = service.engine().len();
         let matcher = service.matcher();
         {
             let mut session = service.begin_day(date).expect("day opens");
@@ -1633,7 +1470,6 @@ mod tests {
         // applied sit in the warm store until retention ages them out.
         assert_eq!(matcher.epoch(), 0);
         assert!(service.signatures().is_empty());
-        let _ = live_before;
         // The day is still sealable from scratch.
         let report = service.process_day(date, &day).expect("day processes");
         assert!(report.clusters > 0);
@@ -1647,7 +1483,7 @@ mod tests {
         let day2 = test_day(d2, 52);
         let mut service = test_service();
         let mut session = service.begin_day(d1).expect("day opens");
-        session.ingest(&day1);
+        session.ingest(day1.as_slice());
         let handle = session.seal_background();
         {
             let mut next = service.begin_day(d2).expect("next day opens");
@@ -1786,8 +1622,8 @@ mod tests {
         let far = SimDate::new(2014, 9, 20);
         {
             let mut session = service.begin_day(far).expect("monotone date opens");
-            session.ingest(&[]);
-            session.ingest_tokenized(&[], &[]);
+            session.ingest(&[] as &[Sample]);
+            session.ingest(Vec::new());
             assert_eq!(session.ingested(), 0);
         }
         assert_eq!(service.last_processed_day(), Some(d1));
@@ -1807,7 +1643,7 @@ mod tests {
         let day = test_day(date, 3);
         {
             let mut session = service.begin_day(date).expect("day opens");
-            session.ingest(&day);
+            session.ingest(day.as_slice());
             // dropped without seal
         }
         assert_eq!(matcher.epoch(), 0);

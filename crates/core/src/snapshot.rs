@@ -1,16 +1,18 @@
 //! Compiler state persistence: the cron-job deployment's survival layer.
 //!
 //! The production daily loop is a cron job, not a long-lived process
-//! (ROADMAP), so everything [`KizzleCompiler`] accumulates across days —
+//! (ROADMAP), so everything the compiler behind
+//! [`KizzleService`](crate::KizzleService) accumulates across days —
 //! the warm corpus engine, the cumulative [`SignatureSet`], the evolving
 //! reference corpus, the per-family signature counters — died with each
-//! run until this module existed. [`KizzleCompiler::save_state`] writes
-//! all of it as the next link of a [`kizzle_snapshot`] **base→delta
-//! chain** (a full base container, then per-day deltas holding only the
-//! sections whose content fingerprint changed, compacted back to a fresh
-//! base every [`DEFAULT_MAX_DELTAS`] saves; the `MANIFEST` sidecar
-//! records the chain). [`KizzleCompiler::load_state`] overlays the chain
-//! latest-wins and brings a fresh process back to exactly the state the
+//! run until this module existed.
+//! [`KizzleService::save`](crate::KizzleService::save) writes all of it
+//! as the next link of a [`kizzle_snapshot`] **base→delta chain** (a full
+//! base container, then per-day deltas holding only the sections whose
+//! content fingerprint changed, compacted back to a fresh base every
+//! [`DEFAULT_MAX_DELTAS`] saves; the `MANIFEST` sidecar records the
+//! chain). [`KizzleService::load`](crate::KizzleService::load) overlays
+//! the chain latest-wins and brings a fresh process back to exactly the state the
 //! previous run saved: restart-each-day runs are byte-identical to a
 //! long-lived warm process (held to that by
 //! `save_load_resumes_exactly_like_a_long_lived_process` below and
@@ -74,8 +76,9 @@ pub const STATE_FILE: &str = "kizzle-state.snap";
 /// Name of the human-readable manifest sidecar.
 pub const MANIFEST_FILE: &str = "MANIFEST";
 
-/// Deltas a state chain accumulates before [`KizzleCompiler::save_state`]
-/// compacts back to a full base — a weekly cadence at one save per day.
+/// Deltas a state chain accumulates before
+/// [`KizzleService::save`](crate::KizzleService::save) compacts back to a
+/// full base — a weekly cadence at one save per day.
 pub const DEFAULT_MAX_DELTAS: usize = 6;
 
 pub use kizzle_snapshot::sections::{
@@ -512,6 +515,7 @@ pub fn read_signatures(state_path: &Path) -> Result<SignatureSet, KizzleError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::KizzleService;
     use kizzle_corpus::{GraywareStream, Sample, StreamConfig};
     use kizzle_signature::{CharClass, Element, ScanPipeline, Signature};
     use kizzle_snapshot::Manifest;
@@ -530,10 +534,10 @@ mod tests {
         GraywareStream::new(config).generate_day(date)
     }
 
-    fn fresh_compiler() -> KizzleCompiler {
+    fn fresh_service() -> KizzleService {
         let reference =
             ReferenceCorpus::seeded_from_models(SimDate::new(2014, 8, 1), &KizzleConfig::fast());
-        KizzleCompiler::new(KizzleConfig::fast(), reference)
+        KizzleService::new(KizzleConfig::fast(), reference).expect("fast config is valid")
     }
 
     fn state_dir(name: &str) -> std::path::PathBuf {
@@ -551,21 +555,21 @@ mod tests {
         let day1 = test_day(d1, 3);
         let day2 = test_day(d2, 4);
 
-        // Long-lived: both days through one compiler.
-        let mut long_lived = fresh_compiler();
-        long_lived.process_day(d1, &day1);
-        let want = long_lived.process_day(d2, &day2);
+        // Long-lived: both days through one service.
+        let mut long_lived = fresh_service();
+        long_lived.process_day(d1, &day1).expect("day 1");
+        let want = long_lived.process_day(d2, &day2).expect("day 2");
 
         // Cron-style: day 1, save, drop, load, day 2.
-        let mut first_run = fresh_compiler();
-        first_run.process_day(d1, &day1);
-        first_run.save_state(&dir).expect("state saved");
+        let mut first_run = fresh_service();
+        first_run.process_day(d1, &day1).expect("day 1");
+        first_run.save(&dir).expect("state saved");
         drop(first_run);
         let (mut second_run, report) =
-            KizzleCompiler::load_state(&dir, KizzleConfig::fast()).expect("state loads");
+            KizzleService::load(&dir, KizzleConfig::fast()).expect("state loads");
         assert!(report.is_warm(), "report: {report:?}");
         assert_eq!(second_run.last_processed_day(), Some(d1));
-        let got = second_run.process_day(d2, &day2);
+        let got = second_run.process_day(d2, &day2).expect("day 2");
 
         // Byte-identical modulo wall clock.
         let mut want = want;
@@ -573,7 +577,7 @@ mod tests {
         want.clustering_stats = Default::default();
         got.clustering_stats = Default::default();
         assert_eq!(want, got);
-        assert_eq!(long_lived.signatures(), second_run.signatures());
+        assert_eq!(&*long_lived.signatures(), &*second_run.signatures());
         assert_eq!(long_lived.engine().len(), second_run.engine().len());
         // The multi-day window mode resumes identically too: the retained
         // day views survived the snapshot.
@@ -587,17 +591,17 @@ mod tests {
     #[test]
     fn mismatched_config_fingerprint_is_refused() {
         let dir = state_dir("mismatch");
-        let compiler = fresh_compiler();
-        compiler.save_state(&dir).expect("state saved");
+        let service = fresh_service();
+        service.save(&dir).expect("state saved");
         let mut other = KizzleConfig::fast();
         other.retention_days += 1;
         assert!(matches!(
-            KizzleCompiler::load_state(&dir, other),
+            KizzleService::load(&dir, other),
             Err(KizzleError::ConfigFingerprint { .. })
         ));
-        // load_or_new degrades to a fresh compiler instead.
+        // open degrades to a fresh service instead.
         let reference = ReferenceCorpus::seeded_from_models(SimDate::new(2014, 8, 1), &other);
-        let (fresh, report) = KizzleCompiler::load_or_new(&dir, other, || reference);
+        let (fresh, report) = KizzleService::open(&dir, other, || reference).expect("opens");
         assert!(fresh.engine().is_empty());
         assert!(!report.notes.is_empty());
         std::fs::remove_dir_all(&dir).ok();
@@ -606,25 +610,26 @@ mod tests {
     #[test]
     fn missing_and_damaged_snapshots_degrade_without_panicking() {
         let dir = state_dir("damage");
-        // Missing directory: fresh compiler.
+        // Missing directory: fresh service.
         let reference =
             ReferenceCorpus::seeded_from_models(SimDate::new(2014, 8, 1), &KizzleConfig::fast());
-        let (fresh, report) =
-            KizzleCompiler::load_or_new(&dir, KizzleConfig::fast(), || reference.clone());
+        let open = |reference: ReferenceCorpus| {
+            KizzleService::open(&dir, KizzleConfig::fast(), || reference).expect("opens")
+        };
+        let (fresh, report) = open(reference.clone());
         assert!(fresh.signatures().is_empty());
         assert!(!report.notes.is_empty());
 
-        // Truncated file: load_state errors, load_or_new degrades.
-        let mut compiler = fresh_compiler();
+        // Truncated file: load errors, open degrades.
+        let mut service = fresh_service();
         let d1 = SimDate::new(2014, 8, 5);
-        compiler.process_day(d1, &test_day(d1, 3));
-        compiler.save_state(&dir).expect("state saved");
+        service.process_day(d1, &test_day(d1, 3)).expect("day 1");
+        service.save(&dir).expect("state saved");
         let path = dir.join(STATE_FILE);
         let full = std::fs::read(&path).expect("snapshot bytes");
         std::fs::write(&path, &full[..full.len() / 3]).expect("truncate");
-        assert!(KizzleCompiler::load_state(&dir, KizzleConfig::fast()).is_err());
-        let (_, report) =
-            KizzleCompiler::load_or_new(&dir, KizzleConfig::fast(), || reference.clone());
+        assert!(KizzleService::load(&dir, KizzleConfig::fast()).is_err());
+        let (_, report) = open(reference.clone());
         assert!(!report.notes.is_empty());
 
         // Version skew: the version field is bytes 8..12.
@@ -632,7 +637,7 @@ mod tests {
         skewed[8] = 0x7F;
         std::fs::write(&path, &skewed).expect("rewrite");
         assert!(matches!(
-            KizzleCompiler::load_state(&dir, KizzleConfig::fast()),
+            KizzleService::load(&dir, KizzleConfig::fast()),
             Err(KizzleError::Snapshot(SnapshotError::VersionSkew { .. }))
         ));
 
@@ -643,22 +648,22 @@ mod tests {
         let mid = flipped.len() / 2;
         flipped[mid] ^= 0x10;
         std::fs::write(&path, &flipped).expect("rewrite");
-        let (_, _) = KizzleCompiler::load_or_new(&dir, KizzleConfig::fast(), || reference);
+        let (_, _) = open(reference);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn manifest_describes_the_saved_state() {
         let dir = state_dir("manifest");
-        let mut compiler = fresh_compiler();
+        let mut service = fresh_service();
         let d1 = SimDate::new(2014, 8, 5);
-        compiler.process_day(d1, &test_day(d1, 3));
-        compiler.save_state(&dir).expect("state saved");
+        service.process_day(d1, &test_day(d1, 3)).expect("day 1");
+        service.save(&dir).expect("state saved");
         let manifest = Manifest::read(&dir.join(MANIFEST_FILE)).expect("manifest");
         assert_eq!(manifest.get("snapshot_file"), Some(STATE_FILE));
         assert_eq!(
             manifest.get("config_fingerprint"),
-            Some(format!("{:#018x}", config_fingerprint(compiler.config())).as_str())
+            Some(format!("{:#018x}", config_fingerprint(service.config())).as_str())
         );
         assert_eq!(manifest.get("last_day"), Some("8/5/14"));
         // Day 1 wrote the full base; `written_*` describe that save.
@@ -672,8 +677,8 @@ mod tests {
         // A second day's save extends the chain with a delta, and the
         // manifest must describe *that* file — not misquote the base.
         let d2 = SimDate::new(2014, 8, 6);
-        compiler.process_day(d2, &test_day(d2, 4));
-        compiler.save_state(&dir).expect("state saved");
+        service.process_day(d2, &test_day(d2, 4)).expect("day 2");
+        service.save(&dir).expect("state saved");
         let manifest = Manifest::read(&dir.join(MANIFEST_FILE)).expect("manifest");
         let written = manifest.get("written_file").expect("written_file");
         assert_ne!(written, STATE_FILE, "day 2 must be a delta");
@@ -689,7 +694,7 @@ mod tests {
         );
         // read_signatures follows the chain from the base file.
         let set = read_signatures(&dir.join(STATE_FILE)).expect("signatures");
-        assert_eq!(&set, compiler.signatures());
+        assert_eq!(&set, &*service.signatures());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -704,23 +709,23 @@ mod tests {
         let day1 = test_day(d1, 3);
         let day2 = test_day(d2, 4);
 
-        // The reference run: both days through one long-lived compiler.
-        let mut long_lived = fresh_compiler();
-        long_lived.process_day(d1, &day1);
-        let want = long_lived.process_day(d2, &day2);
+        // The reference run: both days through one long-lived service.
+        let mut long_lived = fresh_service();
+        long_lived.process_day(d1, &day1).expect("day 1");
+        let want = long_lived.process_day(d2, &day2).expect("day 2");
 
         // Re-create day 1's state and write it as a **v1** base: the
         // container and section layout are identical; only the
         // store/index sections differ, carrying sorted id runs as plain
         // absolute varints (the pre-gap-encoding codec).
-        let mut day1_compiler = fresh_compiler();
-        day1_compiler.process_day(d1, &day1);
-        let mut sections = day1_compiler.encode_state_sections();
+        let mut day1_service = fresh_service();
+        day1_service.process_day(d1, &day1).expect("day 1");
+        let mut sections = day1_service.lock_compiler().encode_state_sections();
         for (name, payload) in &mut sections {
             let mut enc = Encoder::new();
             match name.as_str() {
-                STORE_SECTION => day1_compiler.engine().store().encode_into_v1(&mut enc),
-                INDEX_SECTION => day1_compiler.engine().index().encode_into_v1(&mut enc),
+                STORE_SECTION => day1_service.engine().store().encode_into_v1(&mut enc),
+                INDEX_SECTION => day1_service.engine().index().encode_into_v1(&mut enc),
                 _ => continue,
             }
             *payload = enc.into_bytes();
@@ -738,29 +743,29 @@ mod tests {
         // The v1 snapshot resumes warm — no cold rebuild. (It was written
         // as a bare base; the absent manifest only adds a note.)
         let (mut resumed, report) =
-            KizzleCompiler::load_state(&dir, KizzleConfig::fast()).expect("v1 state loads");
+            KizzleService::load(&dir, KizzleConfig::fast()).expect("v1 state loads");
         assert!(report.is_warm(), "report: {report:?}");
-        assert_eq!(resumed.engine().len(), day1_compiler.engine().len());
-        assert_eq!(resumed.signatures(), day1_compiler.signatures());
+        assert_eq!(resumed.engine().len(), day1_service.engine().len());
+        assert_eq!(&*resumed.signatures(), &*day1_service.signatures());
 
-        // Day 2 through the resumed compiler: byte-identical to the
+        // Day 2 through the resumed service: byte-identical to the
         // long-lived run, exactly like a v2 resume.
-        let mut got = resumed.process_day(d2, &day2);
+        let mut got = resumed.process_day(d2, &day2).expect("day 2");
         let mut want = want;
         want.clustering_stats = Default::default();
         got.clustering_stats = Default::default();
         assert_eq!(want, got);
-        assert_eq!(long_lived.signatures(), resumed.signatures());
+        assert_eq!(&*long_lived.signatures(), &*resumed.signatures());
 
         // Saving rewrites the state at the current format version, and
         // the upgraded chain loads warm again.
-        resumed.save_state(&dir).expect("state saved");
+        resumed.save(&dir).expect("state saved");
         let upgraded_base = Snapshot::read(&dir.join(STATE_FILE)).expect("v2 base parses");
         assert_eq!(upgraded_base.version(), FORMAT_VERSION);
         let (upgraded, report) =
-            KizzleCompiler::load_state(&dir, KizzleConfig::fast()).expect("v2 state reloads");
+            KizzleService::load(&dir, KizzleConfig::fast()).expect("v2 state reloads");
         assert!(report.is_warm(), "report: {report:?}");
-        assert_eq!(upgraded.signatures(), resumed.signatures());
+        assert_eq!(&*upgraded.signatures(), &*resumed.signatures());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -802,18 +807,21 @@ mod tests {
     #[test]
     fn resumed_state_carries_a_sealed_scan_pipeline() {
         let dir = state_dir("pipeline");
-        let mut compiler = fresh_compiler();
+        let mut service = fresh_service();
         let d1 = SimDate::new(2014, 8, 5);
-        compiler.process_day(d1, &test_day(d1, 3));
-        compiler.save_state(&dir).expect("state saved");
+        service.process_day(d1, &test_day(d1, 3)).expect("day 1");
+        service.save(&dir).expect("state saved");
+        // Load the compiler state directly: the service seals whatever it
+        // publishes, which would hide a snapshot that shipped no pipeline.
         let (resumed, report) =
             KizzleCompiler::load_state(&dir, KizzleConfig::fast()).expect("state loads");
         assert!(report.is_warm(), "report: {report:?}");
         assert!(
-            resumed.signatures().is_sealed(),
+            resumed.signatures.is_sealed(),
             "snapshot must ship a ready-to-scan pipeline"
         );
-        assert_eq!(resumed.signatures(), compiler.signatures());
+        let signatures = service.signatures();
+        assert_eq!(&*resumed.signatures, &*signatures);
 
         // Damage only the scan-pipeline section's payload: the load still
         // succeeds (it is derived state) and the set reseals lazily.
@@ -821,12 +829,12 @@ mod tests {
         // truncating the chain's base mid-file — covered by the damage
         // test above — so here exercise the decode-reject path directly.
         let mut enc = Encoder::new();
-        compiler.signatures().seal().encode_into(&mut enc);
+        signatures.seal().encode_into(&mut enc);
         let mut bytes = enc.into_bytes();
         bytes[0] ^= 0x40; // version skew
         let mut dec = Decoder::new(&bytes);
         assert!(matches!(
-            ScanPipeline::decode_from(&mut dec, compiler.signatures().len()),
+            ScanPipeline::decode_from(&mut dec, signatures.len()),
             Err(SnapshotError::VersionSkew { .. })
         ));
         std::fs::remove_dir_all(&dir).ok();

@@ -13,7 +13,7 @@
 //!   is still a reference-count bump and a pointer swap under a write
 //!   lock held for nanoseconds.
 //! * [`ChainFollower`] — tails a snapshot-chain directory written by
-//!   [`KizzleCompiler::save_state`](crate::KizzleCompiler::save_state)
+//!   [`KizzleService::save`](crate::KizzleService::save)
 //!   on another thread, another process, or another machine's shared
 //!   filesystem. Each [`ChainFollower::poll`] stats the `MANIFEST`,
 //!   diffs the recorded signature-section fingerprints, and only when
@@ -136,7 +136,7 @@ impl SignatureSource for EpochSource {
 /// signature set (required) plus its sealed scan pipeline (an
 /// accelerator — any failure to restore it only adds a note and the set
 /// reseals lazily). This is the **single** reader of those sections:
-/// [`KizzleCompiler::load_state`](crate::KizzleCompiler::load_state),
+/// [`KizzleService::load`](crate::KizzleService::load),
 /// [`read_signatures`](crate::read_signatures) and the [`ChainFollower`]
 /// all route through it, so the chain layout has exactly one
 /// interpretation.
@@ -205,7 +205,7 @@ impl FollowState {
 /// A [`SignatureSource`] that tails a snapshot-chain directory.
 ///
 /// The follower is the serving side of a split deployment: a compiler
-/// process seals days and [`save_state`](crate::KizzleCompiler::save_state)s
+/// process seals days and [`save`](crate::KizzleService::save)s
 /// into a directory; any number of scan workers hold
 /// [`Matcher::over`](crate::Matcher::over) handles on one shared
 /// `Arc<ChainFollower>` and keep scanning the last published set while

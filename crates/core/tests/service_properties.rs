@@ -2,10 +2,12 @@
 //!
 //! 1. **Streaming == single-shot.** A [`DaySession`] fed the day in
 //!    arbitrary mini-batches seals to a [`DayReport`] byte-identical
-//!    (modulo wall-clock/work-counter stats) to the monolithic
-//!    [`KizzleCompiler::process_day`] over the same sample sequence, with
+//!    (modulo wall-clock/work-counter stats) to the synchronous
+//!    [`KizzleService::process_day`] over the same sample sequence, with
 //!    identical resulting signatures, reference corpus evolution and warm
-//!    engine state — across multiple consecutive days.
+//!    engine state — across multiple consecutive days. Every batch form
+//!    the one generic `ingest`/`send` accepts (`&[Sample]`, `Vec<Sample>`,
+//!    `Arc<[Sample]>`) is cycled through, chunk by chunk.
 //! 2. **Publication is atomic.** [`Matcher`] clones scanning from other
 //!    threads while a seal is in flight observe either the previous
 //!    published set or the new one — a complete, self-consistent set
@@ -67,8 +69,13 @@ proptest! {
             let want = single.process_day(date, &day).expect("single-shot day");
 
             let mut session = batched.begin_day(date).expect("day opens");
-            for chunk in day.chunks(batch_size) {
-                session.ingest(chunk);
+            for (i, chunk) in day.chunks(batch_size).enumerate() {
+                // Cycle the three batch forms `ingest` converts from.
+                match i % 3 {
+                    0 => session.ingest(chunk),
+                    1 => session.ingest(chunk.to_vec()),
+                    _ => session.ingest(Arc::<[Sample]>::from(chunk)),
+                }
             }
             prop_assert_eq!(session.ingested(), day.len());
             let got = session.seal();
@@ -82,8 +89,7 @@ proptest! {
             );
             date = date.next();
         }
-        // The façade's single-shot convenience is the same code path as the
-        // compiler's process_day: windows cluster identically afterwards.
+        // The retained day views agree too: windows cluster identically.
         let (window_single, _) = single.cluster_window();
         let (window_batched, _) = batched.cluster_window();
         prop_assert_eq!(window_single, window_batched);
@@ -137,7 +143,13 @@ proptest! {
                             while turn.load(Ordering::Acquire) != i {
                                 std::thread::yield_now();
                             }
-                            assert!(producer.send_shared(Arc::clone(chunk)));
+                            // Cycle the three batch forms `send` converts from.
+                            let sent = match i % 3 {
+                                0 => producer.send(&chunk[..]),
+                                1 => producer.send(chunk.to_vec()),
+                                _ => producer.send(Arc::clone(chunk)),
+                            };
+                            assert!(sent);
                             turn.store(i + 1, Ordering::Release);
                         }
                     });
@@ -315,7 +327,7 @@ fn matcher_clones_never_observe_a_torn_set_during_overlapped_seal() {
         .collect();
 
     let mut session = service.begin_day(d1).expect("day 1 opens");
-    session.ingest(&day1);
+    session.ingest(day1.as_slice());
     let handle = session.seal_background();
     // Overlap: day 2 ingests while day 1 seals and the scanners scan.
     let mut next = service.begin_day(d2).expect("day 2 opens");

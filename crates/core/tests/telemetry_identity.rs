@@ -4,7 +4,9 @@
 //! signatures, and warm engine state. The instrumented run here is the
 //! hardest shape the service supports: multiple producer threads feeding
 //! the bounded-channel frontend while the previous day's seal runs
-//! overlapped in the background, so every span/counter site in
+//! overlapped in the background, each producer cycling its chunks
+//! through the three batch forms `send` accepts (`&[Sample]`,
+//! `Vec<Sample>`, `Arc<[Sample]>`), so every span/counter site in
 //! service.rs, pipeline.rs, engine.rs, distributed.rs and matcher.rs is
 //! exercised while the comparison runs.
 //!
@@ -83,7 +85,13 @@ fn pipelined_run(
                         while turn.load(Ordering::Acquire) != i {
                             std::thread::yield_now();
                         }
-                        assert!(producer.send_shared(Arc::clone(chunk)));
+                        // Cycle the three batch forms `send` converts from.
+                        let sent = match i % 3 {
+                            0 => producer.send(&chunk[..]),
+                            1 => producer.send(chunk.to_vec()),
+                            _ => producer.send(Arc::clone(chunk)),
+                        };
+                        assert!(sent);
                         turn.store(i + 1, Ordering::Release);
                     }
                 });

@@ -31,7 +31,7 @@ pub struct StreamConfig {
     /// paper's absolute counts (Fig. 14) are heavily skewed towards Angler;
     /// the default flattens that skew slightly so that even the rare
     /// families produce enough daily variants to exercise clustering at the
-    /// reduced scale (documented in DESIGN.md).
+    /// reduced scale.
     pub family_weights: Vec<(KitFamily, f64)>,
     /// Master seed; combined with the date so each day is independently
     /// reproducible.

@@ -1,7 +1,8 @@
-//! One entry point per paper figure/table (the per-experiment index E1–E12
-//! in DESIGN.md). Every function returns a plain-text report; the
-//! `experiments` binary prints them and EXPERIMENTS.md records a reference
-//! run.
+//! One entry point per paper figure/table, indexed E1–E12 (E1 is Fig. 2,
+//! E3/E7/E8/E9/E11 are the monthly Figs. 6, 12–14 and the §IV
+//! performance numbers; each function's doc names its figure). Every
+//! function returns a plain-text report; the `experiments` binary prints
+//! them.
 
 use crate::adversarial::run_cycle;
 use crate::monthly::{EvalConfig, MonthlyEvaluation, MonthlyResult};

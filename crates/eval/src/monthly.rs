@@ -33,8 +33,8 @@ pub struct EvalConfig {
     pub compact_every: usize,
     /// Streaming-ingest mini-batch size: each day is fed to the
     /// [`DaySession`] in chunks of this many samples, as a live frontend
-    /// would. `0` ingests the whole day in one call — the single-shot
-    /// semantics of the pre-façade `process_day`. Both shapes seal to
+    /// would. `0` ingests the whole day in one
+    /// [`KizzleService::process_day`] call. Both shapes seal to
     /// byte-identical reports (the façade's core property), which the CI
     /// examples smoke diffs end to end.
     pub ingest_batch: usize,
@@ -262,34 +262,18 @@ impl MonthlyEvaluation {
         per_family: &mut [(KitFamily, FamilyCounts)],
     ) -> DailyMetrics {
         let samples = stream.generate_day(date);
-        let streams: Vec<_> = {
-            // The eval pre-tokenizes the day (both detectors scan the same
-            // token streams), so the service-side ingest sites only ever
-            // see tokenized batches — this block is the day's real ingest
-            // phase, so the span lives here.
-            let _ingest_span = kizzle_telemetry::span!("day.ingest");
-            // One guard for the whole day's tokenization: the per-call
-            // accessor would lock (and wait out any background seal) once
-            // per sample.
-            let compiler = service.compiler();
-            samples
-                .iter()
-                .map(|s| compiler.tokenize_capped(&s.html))
-                .collect()
-        };
         let report = match (self.config.ingest_batch, self.config.pipeline_producers) {
-            // Single-shot: borrow the slices straight through (no session
-            // buffering) — the pre-façade semantics.
+            // Single-shot: borrow the day straight through (no session
+            // buffering).
             (0, _) => service
-                .process_day_tokenized(date, &samples, &streams)
+                .process_day(date, &samples)
                 .expect("evaluation days are monotone"),
             (chunk, 0) => {
                 let mut session = service
                     .begin_day(date)
                     .expect("evaluation days are monotone");
-                for (sample_chunk, stream_chunk) in samples.chunks(chunk).zip(streams.chunks(chunk))
-                {
-                    session.ingest_tokenized(sample_chunk, stream_chunk);
+                for sample_chunk in samples.chunks(chunk) {
+                    session.ingest(sample_chunk);
                 }
                 session.seal()
             }
@@ -304,11 +288,7 @@ impl MonthlyEvaluation {
                     .begin_day(date)
                     .expect("evaluation days are monotone");
                 let producer = session.pipeline(self.config.pipeline_bound);
-                let chunks: Vec<(Arc<[Sample]>, &[kizzle_js::TokenStream])> = samples
-                    .chunks(chunk)
-                    .zip(streams.chunks(chunk))
-                    .map(|(s, t)| (Arc::from(s), t))
-                    .collect();
+                let chunks: Vec<Arc<[Sample]>> = samples.chunks(chunk).map(Arc::from).collect();
                 let turn = AtomicUsize::new(0);
                 std::thread::scope(|scope| {
                     for worker in 0..producers {
@@ -316,17 +296,14 @@ impl MonthlyEvaluation {
                         let turn = &turn;
                         let chunks = &chunks;
                         scope.spawn(move || {
-                            for (i, (sample_chunk, stream_chunk)) in chunks.iter().enumerate() {
+                            for (i, sample_chunk) in chunks.iter().enumerate() {
                                 if i % producers != worker {
                                     continue;
                                 }
                                 while turn.load(Ordering::Acquire) != i {
                                     std::thread::yield_now();
                                 }
-                                assert!(producer.send_tokenized(
-                                    Arc::clone(sample_chunk),
-                                    stream_chunk.to_vec()
-                                ));
+                                assert!(producer.send(Arc::clone(sample_chunk)));
                                 turn.store(i + 1, Ordering::Release);
                             }
                         });
@@ -343,9 +320,9 @@ impl MonthlyEvaluation {
         let mut kizzle_angler = DetectorCounts::default();
         let mut av_angler = DetectorCounts::default();
 
-        for (sample, stream_tokens) in samples.iter().zip(&streams) {
+        for sample in &samples {
             let truth_malicious = sample.truth.is_malicious();
-            let kizzle_hit = matcher.scan_stream(stream_tokens);
+            let kizzle_hit = matcher.scan(&sample.html);
             let av_hit = av.scan(date, &sample.html);
 
             kizzle_counts.record(truth_malicious, kizzle_hit.is_some());

@@ -27,7 +27,8 @@
 //!    lets the engine loader rebuild only what was actually lost.
 //! 3. **Atomic replace.** [`SnapshotBuilder::write_atomic`] goes through a
 //!    `.tmp` sibling and a rename, so a crash mid-write leaves the
-//!    previous snapshot file untouched.
+//!    previous snapshot file untouched; the parent directory is synced
+//!    after the rename, so a power loss cannot undo it.
 
 use crate::{crc32, SnapshotError};
 use std::fs;
@@ -121,13 +122,17 @@ impl SnapshotBuilder {
         out
     }
 
-    /// Serialize and write atomically: `.tmp` sibling, sync, rename.
+    /// Serialize and write atomically: `.tmp` sibling, sync, rename,
+    /// directory sync.
     pub fn write_atomic(&self, path: &Path) -> std::io::Result<()> {
         write_atomic(path, &self.to_bytes())
     }
 }
 
-/// Write bytes to `path` atomically via a `.tmp` sibling and a rename.
+/// Write bytes to `path` atomically via a `.tmp` sibling and a rename,
+/// then sync the parent directory: the rename is a directory-entry update,
+/// and until the directory itself is synced a power loss can undo it —
+/// and with it the publish — even though the file's bytes are on disk.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
@@ -137,7 +142,12 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
         file.write_all(bytes)?;
         file.sync_all()?;
     }
-    fs::rename(&tmp, path)
+    fs::rename(&tmp, path)?;
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    fs::File::open(dir)?.sync_all()
 }
 
 /// One parsed section: payload plus its integrity verdict.

@@ -35,8 +35,9 @@
 //!   the first broken delta (resume the base) instead of failing.
 //!
 //! All files are written **atomically**: to a `.tmp` sibling first, synced,
-//! then renamed over the destination — a crash mid-write leaves the
-//! previous snapshot intact.
+//! then renamed over the destination, then the directory is synced — a
+//! crash mid-write leaves the previous snapshot intact, and a power loss
+//! after the write cannot roll the rename back.
 //!
 //! ## Example
 //!

@@ -10,7 +10,7 @@
 //! * [`DaySession`] — streaming ingest: [`KizzleService::begin_day`],
 //!   mini-batched [`DaySession::ingest`], then [`DaySession::seal`] to
 //!   cluster → label → sign → publish. Byte-identical to single-shot
-//!   [`KizzleCompiler::process_day`] (property-tested).
+//!   [`KizzleService::process_day`] (property-tested).
 //! * [`Matcher`] — `Send + Sync` scan handle over the epoch-swapped
 //!   published signature set; scans stay lock-free while a seal is in
 //!   flight and pick up each publication atomically.
@@ -50,9 +50,9 @@
 #![warn(missing_docs)]
 
 pub use kizzle::{
-    config_fingerprint, read_signatures, ClusterVerdict, DayReport, DaySession, KizzleCompiler,
-    KizzleConfig, KizzleConfigBuilder, KizzleError, KizzleService, Matcher, ReferenceCorpus,
-    ResumeReport, SignatureSet,
+    config_fingerprint, read_signatures, ClusterVerdict, DayReport, DaySession, KizzleConfig,
+    KizzleConfigBuilder, KizzleError, KizzleService, Matcher, ReferenceCorpus, ResumeReport,
+    SignatureSet,
 };
 
 pub mod prelude {
