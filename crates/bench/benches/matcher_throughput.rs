@@ -8,7 +8,7 @@
 //! * `scan_miss` / `scan_hit` — single-handle latency on pre-tokenized
 //!   benign and malicious streams (the anchored-scan fast paths).
 //! * `scan_punct` — minified-style punctuation-heavy streams where almost
-//!   every token is a one-byte operator: the automaton's first-byte
+//!   every token is a one-byte operator: the anchor trie's first-byte
 //!   skip-loop rejects these before the root goto-table probe (PR 7).
 //! * `parallel_scan_<W>x<K>` — one iteration scans `W × K` streams
 //!   through `W` independently cloned handles on the rayon pool: the
@@ -95,7 +95,7 @@ fn bench_matcher(c: &mut Criterion) {
         cap,
     );
     // Minified-style pages: long runs of one-byte identifiers and
-    // operators, the worst case for a per-token automaton probe and the
+    // operators, the worst case for a per-token trie probe and the
     // best case for the first-byte skip-loop.
     let punct: Vec<String> = (0..n)
         .map(|i| {

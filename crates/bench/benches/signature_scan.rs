@@ -4,14 +4,15 @@
 //! beat the linear scan by ≥ 5× on non-matching documents (ISSUE 1), and
 //! the per-document scan cost must stay nearly flat in the signature
 //! count — the 50k-signature arms within 3× of the 500-signature arms
-//! (ISSUE 6). The staged scan walks the document's tokens once through
-//! the Aho–Corasick anchor automaton regardless of set size; the linear
+//! (ISSUE 6). The staged scan looks the document's tokens up once in the
+//! anchor trie regardless of set size; the linear
 //! scan slides every signature across every token offset (kept at 500 as
 //! the oracle baseline, deliberately ungated).
 //!
-//! `seal_50k` tracks the pipeline build itself (automaton + prefilter
-//! tables over 50k signatures) — paid once per publish, shipped in
-//! snapshots, but worth gating so it never silently becomes minutes.
+//! `seal_50k` tracks the pipeline build itself (anchor trie + prefilter
+//! tables over 50k signatures) — paid once per publish and once per
+//! load (snapshots carry the signatures only), so it is gated to keep it
+//! from silently becoming minutes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kizzle_corpus::benign::{generate_benign, BenignKind};
@@ -190,7 +191,7 @@ fn bench_scan_at_scale(c: &mut Criterion) {
 
     // The adversarial fan-out shape: many signatures behind ONE shared
     // anchor literal, differing only in class length ranges, plus a
-    // document that fires that anchor on every other token. The automaton
+    // document that fires that anchor on every other token. The trie
     // finds one pattern; the batched prefilter has to reject the bucket.
     let mut shared = SignatureSet::new();
     for i in 0..100usize {
@@ -225,8 +226,8 @@ fn bench_scan_at_scale(c: &mut Criterion) {
     group.finish();
 }
 
-/// Pipeline build (automaton + prefilter tables) at the 100× scale —
-/// paid once per publish/save, not per scan.
+/// Pipeline build (anchor trie + prefilter tables) at the 100× scale —
+/// paid once per publish or load, not per scan.
 fn bench_seal(c: &mut Criterion) {
     let members: Vec<LabeledSignature> = signature_set(50_000).iter().cloned().collect();
     let mut group = c.benchmark_group("signature_scan");

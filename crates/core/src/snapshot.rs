@@ -24,19 +24,16 @@
 //! |------------------|-------------------------------------------------------|
 //! | `meta`           | config fingerprint, last processed day, sig counters  |
 //! | `signatures`     | the cumulative signature set, insertion-ordered       |
-//! | `scan-pipeline`  | the sealed scan pipeline (automaton + prefilters)     |
 //! | `reference`      | the reference corpus with its absorbed evolution      |
 //! | `corpus-store`   | the engine's sample store (see `kizzle-cluster`)      |
 //! | `neighbor-index` | memoized neighborhoods (see `kizzle-cluster`)         |
 //!
-//! The `scan-pipeline` section is an accelerator, not state: it ships the
-//! signature set's ready-to-scan Aho–Corasick automaton and prefilter
-//! tables (see `kizzle_signature::matcher`) so a resumed run — and any
-//! scanner fed from the snapshot — skips the seal-time build. It is
-//! versioned independently ([`kizzle_signature::matcher::PIPELINE_VERSION`])
-//! and fully recoverable: a missing, damaged, or version-skewed pipeline
-//! section only adds a [`ResumeReport`] note and the set reseals lazily
-//! from the signatures.
+//! The signature set's scan pipeline (anchor trie, candidate buckets,
+//! prefilters; see `kizzle_signature::matcher`) is derived state and is
+//! not persisted: every loader seals the set it decodes before it
+//! publishes it. Chains written before this layout may still carry a
+//! `scan-pipeline` section; loaders never read it, and the next
+//! compaction drops it.
 //!
 //! ## Trust ladder
 //!
@@ -82,7 +79,7 @@ pub const MANIFEST_FILE: &str = "MANIFEST";
 pub const DEFAULT_MAX_DELTAS: usize = 6;
 
 pub use kizzle_snapshot::sections::{
-    META_SECTION, REFERENCE_SECTION, SCAN_SECTION, SIGNATURES_SECTION, WINDOW_SECTION,
+    META_SECTION, REFERENCE_SECTION, SIGNATURES_SECTION, WINDOW_SECTION,
 };
 
 /// Stable wire code for a kit family (the paper's Fig. 2 order).
@@ -128,21 +125,6 @@ pub fn config_fingerprint(config: &KizzleConfig) -> u64 {
         hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
     }
     hash
-}
-
-/// Serialize a signature set in insertion order (which the scan's
-/// first-match semantics depend on). The wire format lives with the set
-/// itself ([`SignatureSet::encode_into`]); this wrapper survives as the
-/// snapshot layer's name for it.
-pub(crate) fn encode_signature_set(set: &SignatureSet, enc: &mut Encoder) {
-    set.encode_into(enc);
-}
-
-/// Rebuild a signature set from [`encode_signature_set`] output; the
-/// dedup and label tables are re-derived by re-adding in order. Delegates
-/// to [`SignatureSet::decode_from`].
-pub(crate) fn decode_signature_set(dec: &mut Decoder<'_>) -> Result<SignatureSet, SnapshotError> {
-    SignatureSet::decode_from(dec)
 }
 
 struct Meta {
@@ -204,7 +186,7 @@ fn decode_meta(dec: &mut Decoder<'_>) -> Result<Meta, SnapshotError> {
 }
 
 impl KizzleCompiler {
-    /// Serialize every compiler section. The six payloads are independent,
+    /// Serialize every compiler section. The payloads are independent,
     /// so they encode through the rayon pool — a multi-core save costs the
     /// slowest section, not the sum.
     fn encode_state_sections(&self) -> Vec<(String, Vec<u8>)> {
@@ -222,19 +204,7 @@ impl KizzleCompiler {
                 SIGNATURES_SECTION,
                 Box::new(|| {
                     let mut enc = Encoder::new();
-                    encode_signature_set(&self.signatures, &mut enc);
-                    enc.into_bytes()
-                }),
-            ),
-            (
-                SCAN_SECTION,
-                Box::new(|| {
-                    // Seal here if no scan did: the build cost lands in
-                    // the save (amortized across the chain — the section
-                    // only re-ships when the set changed), and the next
-                    // run resumes ready to scan.
-                    let mut enc = Encoder::new();
-                    self.signatures.seal().encode_into(&mut enc);
+                    self.signatures.encode_into(&mut enc);
                     enc.into_bytes()
                 }),
             ),
@@ -386,10 +356,11 @@ impl KizzleCompiler {
             });
         }
 
-        // Signatures + scan pipeline decode through the one shared
-        // section reader (`kizzle::source`) — the same code path the
-        // serving-side `ChainFollower` and `read_signatures` use.
-        let (signatures, signature_notes) = crate::source::decode_signature_sections(&snapshot)?;
+        // Signatures decode through the one shared section reader
+        // (`kizzle::source`) — the same code path the serving-side
+        // `ChainFollower` and `read_signatures` use. The set stays
+        // unsealed here; `KizzleService` seals it when it publishes.
+        let signatures = crate::source::decode_signature_sections(&snapshot)?;
 
         let mut dec = Decoder::new(snapshot.section(REFERENCE_SECTION)?);
         let reference = ReferenceCorpus::decode_from(&mut dec)?;
@@ -398,12 +369,6 @@ impl KizzleCompiler {
         let (engine, mut report) = CorpusEngine::resume_from_sections(config.clustering, &snapshot);
         for chain_note in snapshot.notes() {
             report.note(chain_note.clone());
-        }
-        // Scan-pipeline degradation (absent in pre-PR-6 snapshots,
-        // damaged, version-skewed, or not covering this set) just means
-        // the set reseals lazily.
-        for note in signature_notes {
-            report.note(note);
         }
 
         // Day views are only meaningful against the engine they were saved
@@ -480,9 +445,9 @@ impl KizzleCompiler {
     }
 }
 
-/// Read just the signature set out of a compiler state snapshot — what
-/// `examples/signature_inspect` uses to inspect deployed signatures
-/// without recompiling them.
+/// Read just the signature set out of a compiler state snapshot, sealed
+/// and ready to scan — what `examples/signature_inspect` uses to inspect
+/// deployed signatures without recompiling them.
 ///
 /// Chain-aware: pointed at a state *directory* or at a chain's base file
 /// (`kizzle-state.snap` next to its `MANIFEST`), the recorded deltas are
@@ -506,9 +471,9 @@ pub fn read_signatures(state_path: &Path) -> Result<SignatureSet, KizzleError> {
         None => ChainedSnapshot::single(Snapshot::read(state_file)?),
     };
     // The one shared section reader (`kizzle::source`) interprets the
-    // layout — it also attaches the snapshot's sealed scan pipeline, so
-    // the returned set is ready to scan without paying the build.
-    let (set, _notes) = crate::source::decode_signature_sections(&chained)?;
+    // layout; sealing here keeps the returned set ready to scan.
+    let set = crate::source::decode_signature_sections(&chained)?;
+    set.seal();
     Ok(set)
 }
 
@@ -517,7 +482,7 @@ mod tests {
     use super::*;
     use crate::KizzleService;
     use kizzle_corpus::{GraywareStream, Sample, StreamConfig};
-    use kizzle_signature::{CharClass, Element, ScanPipeline, Signature};
+    use kizzle_signature::{CharClass, Element, Signature};
     use kizzle_snapshot::Manifest;
 
     fn test_day(date: SimDate, seed: u64) -> Vec<Sample> {
@@ -695,6 +660,9 @@ mod tests {
         // read_signatures follows the chain from the base file.
         let set = read_signatures(&dir.join(STATE_FILE)).expect("signatures");
         assert_eq!(&set, &*service.signatures());
+        // The scan pipeline is derived at load, never saved.
+        assert_eq!(manifest.get("section.scan-pipeline"), None);
+        assert!(manifest.get("section.signatures").is_some());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -811,32 +779,14 @@ mod tests {
         let d1 = SimDate::new(2014, 8, 5);
         service.process_day(d1, &test_day(d1, 3)).expect("day 1");
         service.save(&dir).expect("state saved");
-        // Load the compiler state directly: the service seals whatever it
-        // publishes, which would hide a snapshot that shipped no pipeline.
         let (resumed, report) =
-            KizzleCompiler::load_state(&dir, KizzleConfig::fast()).expect("state loads");
+            KizzleService::load(&dir, KizzleConfig::fast()).expect("state loads");
         assert!(report.is_warm(), "report: {report:?}");
-        assert!(
-            resumed.signatures.is_sealed(),
-            "snapshot must ship a ready-to-scan pipeline"
-        );
-        let signatures = service.signatures();
-        assert_eq!(&*resumed.signatures, &*signatures);
-
-        // Damage only the scan-pipeline section's payload: the load still
-        // succeeds (it is derived state) and the set reseals lazily.
-        // Overwrite the base with a save whose pipeline bytes are bogus by
-        // truncating the chain's base mid-file — covered by the damage
-        // test above — so here exercise the decode-reject path directly.
-        let mut enc = Encoder::new();
-        signatures.seal().encode_into(&mut enc);
-        let mut bytes = enc.into_bytes();
-        bytes[0] ^= 0x40; // version skew
-        let mut dec = Decoder::new(&bytes);
-        assert!(matches!(
-            ScanPipeline::decode_from(&mut dec, signatures.len()),
-            Err(SnapshotError::VersionSkew { .. })
-        ));
+        // The set the service publishes was sealed from the decoded
+        // signatures before any scan: no handle pays the build.
+        let published = resumed.matcher().signatures();
+        assert!(published.is_sealed(), "load must publish a sealed set");
+        assert_eq!(&*published, &*service.signatures());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -863,12 +813,104 @@ mod tests {
             Signature::new("RIG.sig1", vec![Element::Literal("split".to_string())], 4),
         );
         let mut enc = Encoder::new();
-        encode_signature_set(&set, &mut enc);
+        set.encode_into(&mut enc);
         let bytes = enc.into_bytes();
         let mut dec = Decoder::new(&bytes);
-        let restored = decode_signature_set(&mut dec).unwrap();
+        let restored = SignatureSet::decode_from(&mut dec).unwrap();
         dec.finish().unwrap();
         assert_eq!(restored, set);
         assert_eq!(restored.labels(), set.labels());
+    }
+
+    /// A valid `scan-pipeline` payload, as older snapshots stored it, for
+    /// a *different* one-signature set than the one saved beside it: its
+    /// only signature is `unescape ( [a-z]{1,16}`, three elements anchored
+    /// on `unescape`. Loaders must ignore it and derive the pipeline from
+    /// the signatures they decode; trusting it pairs the leftover's
+    /// candidate windows with the saved eight-element signature, which
+    /// scans past the end of a three-token document.
+    const LEFTOVER_PIPELINE: &[u8] = &[
+        1, 0, 1, 9, 1, 0, 1, 0, 0, 0, 0, 1, 1, 0, 0, 0, 1, 2, 1, 0, 0, 0, 2, 3, 1, 0, 0, 0, 3, 4,
+        1, 0, 0, 0, 4, 5, 1, 0, 0, 0, 5, 6, 1, 0, 0, 0, 6, 7, 1, 0, 0, 0, 7, 8, 0, 0, 0, 1, 8, 8,
+        117, 1, 110, 2, 101, 3, 115, 4, 99, 5, 97, 6, 112, 7, 101, 8, 1, 8, 0, 0, 0, 0, 0, 0, 0,
+        117, 110, 101, 115, 99, 97, 112, 101, 1, 0, 0, 3, 0, 8, 8, 237, 34, 222, 224, 0, 1, 1, 23,
+        156, 12, 45, 1, 1, 16, 0, 0,
+    ];
+
+    /// `eval ( atob ( [a-zA-Z0-9]{1,32} ) ) ;` — eight elements.
+    fn eval_atob_signature() -> Signature {
+        let lit = |text: &str| Element::Literal(text.to_string());
+        Signature::new(
+            "NEK.sig1",
+            vec![
+                lit("eval"),
+                lit("("),
+                lit("atob"),
+                lit("("),
+                Element::Class {
+                    class: CharClass::AlphaNum,
+                    min_len: 1,
+                    max_len: 32,
+                },
+                lit(")"),
+                lit(")"),
+                lit(";"),
+            ],
+            3,
+        )
+    }
+
+    #[test]
+    fn leftover_scan_pipeline_section_is_ignored_by_every_loader() {
+        let clean = state_dir("leftover-clean");
+        let dirty = state_dir("leftover-dirty");
+        let service = fresh_service();
+        std::sync::Arc::make_mut(&mut service.lock_compiler().signatures)
+            .add("Nuclear", eval_atob_signature());
+        service.save(&clean).expect("clean chain saved");
+
+        // The same state plus the leftover section, written as a chain
+        // base with its manifest.
+        let mut sections = service.lock_compiler().encode_state_sections();
+        sections.push(("scan-pipeline".to_string(), LEFTOVER_PIPELINE.to_vec()));
+        ChainWriter::new(&dirty, STATE_CHAIN_PREFIX)
+            .save(sections, DEFAULT_MAX_DELTAS, |manifest, _| {
+                manifest.set("token_cap", service.config().token_cap);
+            })
+            .expect("leftover chain saved");
+        assert!(Snapshot::read(&dirty.join(STATE_FILE))
+            .expect("base reads")
+            .has_section("scan-pipeline"));
+
+        let docs = [
+            "<script>eval(atob(aGVsbG8));</script>",
+            // The leftover's anchor with its window filled: three tokens.
+            "<script>unescape(x</script>",
+            "<script>function benign() { return 1; }</script>",
+        ];
+        // Per document: the verdicts of `KizzleService::load`,
+        // `read_signatures` and a polled `ChainFollower`.
+        let verdicts = |dir: &Path| -> Vec<[Option<usize>; 3]> {
+            let (loaded, _) = KizzleService::load(dir, KizzleConfig::fast()).expect("loads");
+            let read = read_signatures(dir).expect("signatures read");
+            let follower = std::sync::Arc::new(crate::ChainFollower::new(dir));
+            assert!(follower.poll().expect("chain polls"));
+            let tailing = crate::Matcher::over(follower);
+            docs.iter()
+                .map(|doc| {
+                    let stream = kizzle_js::tokenize_document(doc);
+                    [
+                        loaded.matcher().scan_verdict(doc).index.map(|i| i as usize),
+                        read.scan_stream_index(&stream),
+                        tailing.scan_verdict(doc).index.map(|i| i as usize),
+                    ]
+                })
+                .collect()
+        };
+        let want = verdicts(&clean);
+        assert_eq!(want, vec![[Some(0); 3], [None; 3], [None; 3]]);
+        assert_eq!(verdicts(&dirty), want);
+        std::fs::remove_dir_all(&clean).ok();
+        std::fs::remove_dir_all(&dirty).ok();
     }
 }

@@ -16,11 +16,11 @@
 //!   [`KizzleService::save`](crate::KizzleService::save)
 //!   on another thread, another process, or another machine's shared
 //!   filesystem. Each [`ChainFollower::poll`] stats the `MANIFEST`,
-//!   diffs the recorded signature-section fingerprints, and only when
-//!   they moved re-opens the chain, decodes the signature and
-//!   scan-pipeline sections, and swaps the new set in **exactly like the
-//!   epoch swap** — scans in flight keep the previous complete set; the
-//!   next scan on each handle picks up the new one atomically.
+//!   diffs the recorded signature-section fingerprint, and only when it
+//!   moved re-opens the chain, decodes the signature section, seals the
+//!   set, and swaps it in **exactly like the epoch swap** — scans in
+//!   flight keep the previous complete set; the next scan on each handle
+//!   picks up the new one atomically.
 //!
 //! The follower is the subscription half of the deployment topology the
 //! paper implies but never names: one compiler sealing days and saving
@@ -29,10 +29,8 @@
 
 use crate::config::KizzleConfig;
 use crate::error::KizzleError;
-use crate::snapshot::{
-    decode_signature_set, MANIFEST_FILE, SCAN_SECTION, SIGNATURES_SECTION, STATE_CHAIN_PREFIX,
-};
-use kizzle_signature::{ScanPipeline, SignatureSet};
+use crate::snapshot::{MANIFEST_FILE, SIGNATURES_SECTION, STATE_CHAIN_PREFIX};
+use kizzle_signature::SignatureSet;
 use kizzle_snapshot::chain::SECTION_KEY_PREFIX;
 use kizzle_snapshot::{crc32, ChainedSnapshot, Decoder, Manifest, SectionSource, SnapshotError};
 use std::path::{Path, PathBuf};
@@ -132,39 +130,21 @@ impl SignatureSource for EpochSource {
     }
 }
 
-/// Decode the serving-side sections of a compiler-state snapshot: the
-/// signature set (required) plus its sealed scan pipeline (an
-/// accelerator — any failure to restore it only adds a note and the set
-/// reseals lazily). This is the **single** reader of those sections:
-/// [`KizzleService::load`](crate::KizzleService::load),
+/// Decode the serving-side section of a compiler-state snapshot: the
+/// signature set, unsealed. This is the **single** reader of that
+/// section: [`KizzleService::load`](crate::KizzleService::load),
 /// [`read_signatures`](crate::read_signatures) and the [`ChainFollower`]
 /// all route through it, so the chain layout has exactly one
-/// interpretation.
+/// interpretation. Each caller seals the set before it publishes or
+/// returns it; the scan pipeline is always derived from these
+/// signatures, never read from the snapshot.
 pub(crate) fn decode_signature_sections(
     source: &impl SectionSource,
-) -> Result<(SignatureSet, Vec<String>), SnapshotError> {
+) -> Result<SignatureSet, SnapshotError> {
     let mut dec = Decoder::new(source.section(SIGNATURES_SECTION)?);
-    let mut signatures = decode_signature_set(&mut dec)?;
+    let signatures = SignatureSet::decode_from(&mut dec)?;
     dec.finish()?;
-
-    let mut notes = Vec::new();
-    let pipeline = source.section(SCAN_SECTION).and_then(|payload| {
-        let mut dec = Decoder::new(payload);
-        let pipeline = ScanPipeline::decode_from(&mut dec, signatures.len())?;
-        dec.finish()?;
-        Ok(pipeline)
-    });
-    match pipeline {
-        Ok(pipeline) => {
-            if !signatures.attach_pipeline(pipeline) {
-                notes.push("scan pipeline does not cover the set, resealing".to_string());
-            }
-        }
-        Err(err) => {
-            notes.push(format!("scan pipeline not restored, resealing: {err}"));
-        }
-    }
-    Ok((signatures, notes))
+    Ok(signatures)
 }
 
 /// A `crc/len` section fingerprint in the manifest's format, so locally
@@ -182,8 +162,6 @@ struct FollowState {
     manifest_stamp: Option<(SystemTime, u64)>,
     /// Fingerprint of the signature section currently swapped in.
     sig_fingerprint: Option<String>,
-    /// Fingerprint of the scan-pipeline section currently swapped in.
-    scan_fingerprint: Option<String>,
     /// Bounded log of degradations observed while following.
     notes: Vec<String>,
 }
@@ -216,7 +194,8 @@ impl FollowState {
 /// ## Freshness and consistency
 ///
 /// `poll` is a stat loop, not inotify: a new save is observed at the next
-/// poll, so staleness is bounded by the poll interval plus one decode.
+/// poll, so staleness is bounded by the poll interval plus one decode and
+/// one seal.
 /// Consistency is absolute regardless: the chain's files and its manifest
 /// are each written atomically (tmp + rename), the manifest only after
 /// its chain file, so every poll sees either the complete previous save
@@ -224,7 +203,7 @@ impl FollowState {
 /// epoch-bump-under-write-lock the in-process [`EpochSource`] uses, so a
 /// scan never observes a torn set. A save that only touched non-signature
 /// sections (store/index churn on a day with no new signatures) is
-/// detected by the recorded section fingerprints and skipped without
+/// detected by the recorded signature-section fingerprint and skipped without
 /// opening the chain, let alone decoding it.
 ///
 /// Damage follows the chain's own degradation ladder: a broken delta
@@ -280,8 +259,9 @@ impl ChainFollower {
     /// Check the chain directory once and swap in a new set if one was
     /// published. Returns `Ok(true)` when a new epoch was swapped in,
     /// `Ok(false)` when the published signatures are unchanged (three
-    /// fast paths, cheapest first: manifest stat, recorded section
-    /// fingerprints, locally computed fingerprints of the opened chain).
+    /// fast paths, cheapest first: manifest stat, the recorded
+    /// signature-section fingerprint, a locally computed fingerprint of
+    /// the opened chain's signature section).
     ///
     /// Concurrent polls serialize on an internal mutex; scans are never
     /// blocked by a poll except for the final pointer-swap instant.
@@ -307,18 +287,13 @@ impl ChainFollower {
         }
 
         // Fast path 2: the manifest moved (or stat is unusable), but the
-        // signature fingerprints it records are the ones already swapped
-        // in — the save only touched other sections.
+        // signature fingerprint it records is the one already swapped in
+        // — the save only touched other sections.
         let manifest = Manifest::read(&manifest_path).ok();
         if loaded {
             if let Some(manifest) = &manifest {
-                let sig = manifest
-                    .get(&format!("{SECTION_KEY_PREFIX}{SIGNATURES_SECTION}"))
-                    .map(str::to_string);
-                let scan = manifest
-                    .get(&format!("{SECTION_KEY_PREFIX}{SCAN_SECTION}"))
-                    .map(str::to_string);
-                if sig.is_some() && sig == state.sig_fingerprint && scan == state.scan_fingerprint {
+                let sig = manifest.get(&format!("{SECTION_KEY_PREFIX}{SIGNATURES_SECTION}"));
+                if sig.is_some() && sig == state.sig_fingerprint.as_deref() {
                     state.manifest_stamp = stamp;
                     return Ok(false);
                 }
@@ -326,7 +301,7 @@ impl ChainFollower {
         }
 
         // Full read: overlay the chain and fingerprint the winning
-        // sections ourselves (covers manifest-less bare bases and
+        // section ourselves (covers manifest-less bare bases and
         // truncated chains, where the recorded fingerprints lie).
         let snapshot =
             ChainedSnapshot::open(&self.dir, &self.prefix).map_err(KizzleError::Snapshot)?;
@@ -335,17 +310,12 @@ impl ChainFollower {
                 .section(SIGNATURES_SECTION)
                 .map_err(KizzleError::Snapshot)?,
         ));
-        let scan_fingerprint = snapshot.section(SCAN_SECTION).ok().map(fingerprint);
-        if loaded
-            && sig_fingerprint == state.sig_fingerprint
-            && scan_fingerprint == state.scan_fingerprint
-        {
+        if loaded && sig_fingerprint == state.sig_fingerprint {
             state.manifest_stamp = stamp;
             return Ok(false);
         }
 
-        let (set, decode_notes) =
-            decode_signature_sections(&snapshot).map_err(KizzleError::Snapshot)?;
+        let set = decode_signature_sections(&snapshot).map_err(KizzleError::Snapshot)?;
         if let Some(cap) = manifest
             .as_ref()
             .and_then(|m| m.get("token_cap"))
@@ -354,8 +324,7 @@ impl ChainFollower {
             self.token_cap.store(cap, Ordering::Relaxed);
         }
         // Seal before the swap: no scan on any handle ever pays the
-        // pipeline build (usually free — the scan-pipeline section
-        // already attached one).
+        // pipeline build.
         set.seal();
         let signatures = set.len();
         {
@@ -365,13 +334,9 @@ impl ChainFollower {
             self.epoch_hint.store(slot.0, Ordering::Release);
         }
         state.sig_fingerprint = sig_fingerprint;
-        state.scan_fingerprint = scan_fingerprint;
         state.manifest_stamp = stamp;
         for note in snapshot.notes() {
             state.push_note(note.clone());
-        }
-        for note in decode_notes {
-            state.push_note(note);
         }
         if kizzle_telemetry::enabled() {
             kizzle_telemetry::counter("kizzle_chain_refreshes_total").incr();
@@ -380,9 +345,9 @@ impl ChainFollower {
         Ok(true)
     }
 
-    /// Degradations observed while following (chain truncations, lost
-    /// scan pipelines, background poll errors) — newest last, bounded,
-    /// consecutive duplicates collapsed.
+    /// Degradations observed while following (chain truncations,
+    /// background poll errors) — newest last, bounded, consecutive
+    /// duplicates collapsed.
     #[must_use]
     pub fn notes(&self) -> Vec<String> {
         self.state
@@ -544,7 +509,7 @@ mod tests {
         let (epoch, set) = follower.current();
         assert_eq!(epoch, 1);
         assert_eq!(&*set, &*service.signatures());
-        assert!(set.is_sealed(), "scan-pipeline section must pre-seal");
+        assert!(set.is_sealed(), "the follower seals before the swap");
         // Token cap came from the manifest.
         assert_eq!(follower.token_cap(), service.config().token_cap);
         // A second poll with no new save is a cheap no-op.

@@ -19,7 +19,7 @@
 //! | [`OP_SCAN`] | the raw document (UTF-8) | `[u8 family][u64 LE epoch][u32 LE index]` |
 //! | [`OP_METRICS`] | empty | Prometheus text exposition (UTF-8) |
 //! | [`OP_STATUS`] | empty | `key=value` lines (UTF-8) |
-//! | [`OP_SHUTDOWN`] | empty | empty (the daemon then drains and exits) |
+//! | [`OP_SHUTDOWN`] | empty | empty (the daemon then drains and exits; loopback peers only, others get an error) |
 //!
 //! In a scan response, `family` is the kit's index in
 //! [`KitFamily::ALL`] or [`NO_FAMILY`], and `index` is the matching
@@ -40,7 +40,8 @@ pub const OP_SCAN: u8 = 1;
 pub const OP_METRICS: u8 = 2;
 /// Fetch `key=value` status lines (epoch, signatures, workers, …).
 pub const OP_STATUS: u8 = 3;
-/// Ask the daemon to drain in-flight work and exit.
+/// Ask the daemon to drain in-flight work and exit (honoured from
+/// loopback peers only).
 pub const OP_SHUTDOWN: u8 = 4;
 
 /// Response status: request handled.

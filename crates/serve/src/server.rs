@@ -13,7 +13,10 @@
 //! time with buffered pipelined I/O. Shutdown (the [`OP_SHUTDOWN`]
 //! opcode or [`ServerHandle::shutdown`]) is a graceful drain: the
 //! acceptor stops taking new connections, workers finish the requests
-//! already in flight, then everything joins.
+//! already in flight, then everything joins. The wire has no
+//! authentication, so [`OP_SHUTDOWN`] is honoured only from a loopback
+//! peer: a daemon bound to a public address cannot be stopped by any
+//! client that reaches its port.
 
 use crate::protocol::{
     encode_scan_reply, read_frame, write_frame, FrameRead, OP_METRICS, OP_SCAN, OP_SHUTDOWN,
@@ -24,7 +27,7 @@ use kizzle_telemetry::{counter, Record, Recorder};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io::{self, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
@@ -332,6 +335,7 @@ fn serve_connection(
 ) -> io::Result<()> {
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(READ_TIMEOUT))?;
+    let may_shutdown = shutdown_permitted(stream.peer_addr()?.ip());
     let mut reader = BufReader::with_capacity(IO_BUF, stream.try_clone()?);
     let mut writer = BufWriter::with_capacity(IO_BUF, stream);
     let mut payload = Vec::new();
@@ -390,14 +394,25 @@ fn serve_connection(
                 reply.extend_from_slice(text.as_bytes());
                 write_frame(&mut writer, &reply)?;
             }
-            OP_SHUTDOWN => {
+            OP_SHUTDOWN if may_shutdown => {
                 shutdown.store(true, Ordering::Release);
                 write_frame(&mut writer, &[ST_OK])?;
                 return writer.flush();
             }
+            OP_SHUTDOWN => {
+                write_error(&mut writer, "shutdown is accepted from loopback peers only")?
+            }
             other => write_error(&mut writer, &format!("unknown opcode {other}"))?,
         }
     }
+}
+
+/// May a client at `peer` stop the daemon with [`OP_SHUTDOWN`]? Only a
+/// loopback peer — someone already on the daemon's host. IPv4-mapped
+/// IPv6 peers (a dual-stack listener's view of IPv4 clients) are judged
+/// by their IPv4 address.
+fn shutdown_permitted(peer: IpAddr) -> bool {
+    peer.to_canonical().is_loopback()
 }
 
 fn write_error(writer: &mut impl Write, message: &str) -> io::Result<()> {
@@ -416,4 +431,28 @@ pub fn resolve(addr: &str) -> io::Result<SocketAddr> {
             format!("{addr} resolves to no address"),
         )
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::{Ipv4Addr, Ipv6Addr};
+
+    #[test]
+    fn shutdown_is_permitted_from_loopback_peers_only() {
+        assert!(shutdown_permitted(IpAddr::V4(Ipv4Addr::LOCALHOST)));
+        assert!(shutdown_permitted(IpAddr::V4(Ipv4Addr::new(127, 0, 0, 9))));
+        assert!(shutdown_permitted(IpAddr::V6(Ipv6Addr::LOCALHOST)));
+        assert!(shutdown_permitted(IpAddr::V6(
+            Ipv4Addr::LOCALHOST.to_ipv6_mapped()
+        )));
+        assert!(!shutdown_permitted(IpAddr::V4(Ipv4Addr::new(192, 0, 2, 7))));
+        assert!(!shutdown_permitted(IpAddr::V4(Ipv4Addr::UNSPECIFIED)));
+        assert!(!shutdown_permitted(IpAddr::V6(
+            "2001:db8::7".parse().expect("documentation address")
+        )));
+        assert!(!shutdown_permitted(IpAddr::V6(
+            Ipv4Addr::new(192, 0, 2, 7).to_ipv6_mapped()
+        )));
+    }
 }

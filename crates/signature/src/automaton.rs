@@ -1,7 +1,6 @@
-//! Aho–Corasick automaton over anchor literals — stage 1 of the scan
-//! pipeline.
+//! Anchor trie over anchor literals — stage 1 of the scan pipeline.
 //!
-//! One automaton is built over *all* anchor literals of a sealed
+//! One trie is built over *all* anchor literals of a sealed
 //! [`SignatureSet`](crate::SignatureSet), so the anchor stage costs one
 //! pass over the token stream **regardless of signature count** — the
 //! 100×-signature-scale requirement. Each distinct literal is one
@@ -9,58 +8,44 @@
 //! differ only in the candidate bucket attached to it
 //! ([`crate::matcher::ScanPipeline`]).
 //!
-//! The matcher drives the automaton in **token mode**
-//! ([`AnchorAutomaton::match_token`]): anchors are whole tokens, so every
-//! token restarts at the root and a pattern only fires when the token's
-//! complete (quote-stripped) text equals the pattern. Walking from the
-//! root makes this a pure goto-transition walk — the failure links never
-//! trigger — which is why the hot path is a handful of instructions per
-//! byte with no hashing and no per-signature work. The failure and output
-//! links are still built (classic BFS construction) and power
-//! [`AnchorAutomaton::scan_bytes`], the textbook streaming-substring mode;
-//! the property tests hold it to the brute-force oracle, which in turn
-//! pins down the goto/fail structure `match_token` walks.
+//! Anchors are whole tokens, so the one query is
+//! [`AnchorTrie::match_token`]: which pattern equals the token's
+//! complete (quote-stripped) text? Every token starts at the root and
+//! walks one edge per byte; reaching a terminal node after the last byte
+//! is a match. No hashing and no per-signature work — a handful of
+//! instructions per byte, and most tokens never reach the walk: the
+//! [`AnchorTrie::may_match`] bitmap rejects them on their first byte or
+//! their length.
 //!
-//! Layout is flattened for scan speed and serialization: a dense 256-way
-//! root table (most tokens die on their first byte, one load), then
-//! per-node sorted edge runs resolved by binary search. The whole
-//! structure is immutable after build and ships through
-//! [`AnchorAutomaton::encode_into`]/[`AnchorAutomaton::decode_from`] so a
-//! published snapshot chain carries ready-to-scan sets.
+//! Layout is flattened for scan speed: a dense 256-way root table (most
+//! tokens that pass the bitmap still die on their first byte, one load),
+//! then per-node sorted edge runs resolved by binary search. The trie is
+//! immutable after build and is derived state: every loader rebuilds it
+//! from the signatures when it seals a set, and it is never persisted.
 
-use kizzle_snapshot::{Decoder, Encoder, SnapshotError};
-
-/// Sentinel for "no node" in the root table and failure links.
+/// Sentinel for "no node" in the root table.
 const NO_NODE: u32 = u32::MAX;
 /// Sentinel for "no pattern ends here".
 const NO_PATTERN: u32 = u32::MAX;
 
-/// One interior node of the flattened automaton.
+/// One node of the flattened trie.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Node {
-    /// First edge of this node's run in [`AnchorAutomaton::edge_bytes`] /
-    /// [`AnchorAutomaton::edge_targets`].
+    /// First edge of this node's run in [`AnchorTrie::edge_bytes`] /
+    /// [`AnchorTrie::edge_targets`].
     edges_start: u32,
     /// Number of edges in the run.
     edges_len: u16,
-    /// Failure link (longest proper suffix of this node's path that is
-    /// also a path prefix); `NO_NODE` only during construction.
-    fail: u32,
-    /// Output link: nearest node on the failure chain (self included)
-    /// where a pattern ends, or `NO_NODE`.
-    output: u32,
     /// Pattern ending exactly at this node, or `NO_PATTERN`.
     pattern: u32,
-    /// Depth in bytes (== pattern length at terminal nodes).
-    depth: u32,
 }
 
-/// An immutable multi-pattern matcher over anchor literal byte strings.
+/// An immutable whole-token matcher over anchor literal byte strings.
 ///
-/// Build once per sealed signature set with [`AnchorAutomaton::build`];
-/// see the [module docs](self) for the two scan modes.
+/// Build once per sealed signature set with [`AnchorTrie::build`]; see
+/// the [module docs](self) for the layout.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AnchorAutomaton {
+pub struct AnchorTrie {
     /// Dense goto table of the root: byte → node id or `NO_NODE`.
     root: Vec<u32>,
     nodes: Vec<Node>,
@@ -68,49 +53,16 @@ pub struct AnchorAutomaton {
     edge_bytes: Vec<u8>,
     /// Edge targets, parallel to `edge_bytes`.
     edge_targets: Vec<u32>,
-    /// Number of patterns the automaton was built from.
-    patterns: u32,
     /// Skip-loop bitmap: bit `b` set iff some pattern starts with byte
     /// `b`. 32 bytes — one cache line — versus the 1 KiB root table, so
-    /// [`AnchorAutomaton::match_token`] rejects the common token (anchors
-    /// are rare) without touching the table. **Derived** from the root at
-    /// build *and* decode by the same helper; never serialized, so the
-    /// wire format and [`PIPELINE_VERSION`](crate::PIPELINE_VERSION) are
-    /// unchanged.
+    /// [`AnchorTrie::match_token`] rejects the common token (anchors are
+    /// rare) without touching the table.
     first_byte: [u64; 4],
-    /// Length of the shortest pattern (`u32::MAX` when empty) — tokens
-    /// shorter than every pattern (single punctuation, short operators)
-    /// can never equal one, so the walk is skipped outright.
+    /// Length of the shortest non-empty pattern (`u32::MAX` when there is
+    /// none) — tokens shorter than every pattern (single punctuation,
+    /// short operators) can never equal one, so the walk is skipped
+    /// outright.
     min_pattern_len: u32,
-}
-
-/// Derive the skip-loop structures ([`AnchorAutomaton::first_byte`],
-/// [`AnchorAutomaton::min_pattern_len`]) from the flattened automaton —
-/// shared by [`AnchorAutomaton::build`] and [`AnchorAutomaton::decode_from`]
-/// so a decoded automaton skips identically to a freshly built one.
-fn derive_skip(root: &[u32], nodes: &[Node]) -> ([u64; 4], u32) {
-    let mut first_byte = [0u64; 4];
-    for (b, &node) in root.iter().enumerate() {
-        if node != NO_NODE {
-            first_byte[b >> 6] |= 1u64 << (b & 63);
-        }
-    }
-    let min_pattern_len = nodes
-        .iter()
-        .filter(|n| n.pattern != NO_PATTERN)
-        .map(|n| n.depth)
-        .min()
-        .unwrap_or(u32::MAX);
-    (first_byte, min_pattern_len)
-}
-
-/// A pattern occurrence reported by [`AnchorAutomaton::scan_bytes`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Occurrence {
-    /// Id of the pattern (its index in the build slice).
-    pub pattern: u32,
-    /// Byte offset of the *end* of the occurrence (exclusive).
-    pub end: usize,
 }
 
 /// Mutable trie node used only during construction.
@@ -119,30 +71,30 @@ struct BuildNode {
     /// Sorted `(byte, child)` edges.
     edges: Vec<(u8, u32)>,
     pattern: u32,
-    depth: u32,
 }
 
-impl AnchorAutomaton {
-    /// Build the automaton over `patterns`. Duplicate patterns are the
+impl AnchorTrie {
+    /// Build the trie over `patterns`. Duplicate patterns are the
     /// caller's concern (the pipeline deduplicates literals into shared
     /// candidate buckets before building); if duplicates are passed, the
     /// **last** one owns the terminal node. Empty patterns never match
     /// (no token has empty text) and are ignored.
     #[must_use]
     pub fn build<P: AsRef<[u8]>>(patterns: &[P]) -> Self {
-        // Phase 1: byte trie.
         let mut trie: Vec<BuildNode> = vec![BuildNode {
             edges: Vec::new(),
             pattern: NO_PATTERN,
-            depth: 0,
         }];
+        let mut min_pattern_len = u32::MAX;
         for (id, pattern) in patterns.iter().enumerate() {
             let bytes = pattern.as_ref();
             if bytes.is_empty() {
                 continue;
             }
+            min_pattern_len =
+                min_pattern_len.min(u32::try_from(bytes.len()).expect("pattern length fits u32"));
             let mut node = 0usize;
-            for (i, &b) in bytes.iter().enumerate() {
+            for &b in bytes {
                 node = match trie[node].edges.binary_search_by_key(&b, |e| e.0) {
                     Ok(pos) => trie[node].edges[pos].1 as usize,
                     Err(pos) => {
@@ -150,7 +102,6 @@ impl AnchorAutomaton {
                         trie.push(BuildNode {
                             edges: Vec::new(),
                             pattern: NO_PATTERN,
-                            depth: i as u32 + 1,
                         });
                         trie[node].edges.insert(pos, (b, child));
                         child as usize
@@ -160,25 +111,16 @@ impl AnchorAutomaton {
             trie[node].pattern = u32::try_from(id).expect("pattern count fits u32");
         }
 
-        // Phase 2: flatten and wire failure/output links by BFS. Node ids
-        // are already BFS-friendly only for the root's children, so walk
-        // explicitly.
-        let mut nodes: Vec<Node> = trie
-            .iter()
-            .map(|b| Node {
-                edges_start: 0,
-                edges_len: 0,
-                fail: 0,
-                output: NO_NODE,
-                pattern: b.pattern,
-                depth: b.depth,
-            })
-            .collect();
+        // Flatten: one sorted edge run per node.
+        let mut nodes = Vec::with_capacity(trie.len());
         let mut edge_bytes = Vec::new();
         let mut edge_targets = Vec::new();
-        for (id, build) in trie.iter().enumerate() {
-            nodes[id].edges_start = u32::try_from(edge_bytes.len()).expect("edge count fits u32");
-            nodes[id].edges_len = u16::try_from(build.edges.len()).expect("≤256 edges per node");
+        for build in &trie {
+            nodes.push(Node {
+                edges_start: u32::try_from(edge_bytes.len()).expect("edge count fits u32"),
+                edges_len: u16::try_from(build.edges.len()).expect("≤256 edges per node"),
+                pattern: build.pattern,
+            });
             for &(b, to) in &build.edges {
                 edge_bytes.push(b);
                 edge_targets.push(to);
@@ -186,73 +128,35 @@ impl AnchorAutomaton {
         }
 
         let mut root = vec![NO_NODE; 256];
+        let mut first_byte = [0u64; 4];
         for &(b, to) in &trie[0].edges {
             root[b as usize] = to;
+            first_byte[usize::from(b >> 6)] |= 1u64 << (b & 63);
         }
 
-        // BFS from the root's children (whose failure link is the root).
-        let mut queue: std::collections::VecDeque<u32> =
-            trie[0].edges.iter().map(|&(_, to)| to).collect();
-        while let Some(id) = queue.pop_front() {
-            let fail = nodes[id as usize].fail;
-            nodes[id as usize].output = if nodes[fail as usize].pattern != NO_PATTERN {
-                fail
-            } else {
-                nodes[fail as usize].output
-            };
-            let run = edge_run(&nodes, id);
-            for pos in run {
-                let (b, child) = (edge_bytes[pos], edge_targets[pos]);
-                // Child's failure: follow this node's failure chain until a
-                // node with a `b` edge exists (the root as last resort).
-                let mut f = fail;
-                let child_fail = loop {
-                    if let Some(next) = lookup(&nodes, &root, &edge_bytes, &edge_targets, f, b) {
-                        if next != child {
-                            break next;
-                        }
-                    }
-                    if f == 0 {
-                        break 0;
-                    }
-                    f = nodes[f as usize].fail;
-                };
-                nodes[child as usize].fail = child_fail;
-                queue.push_back(child);
-            }
-        }
-
-        let (first_byte, min_pattern_len) = derive_skip(&root, &nodes);
-        AnchorAutomaton {
+        AnchorTrie {
             root,
             nodes,
             edge_bytes,
             edge_targets,
-            patterns: u32::try_from(patterns.len()).expect("pattern count fits u32"),
             first_byte,
             min_pattern_len,
         }
     }
 
-    /// Number of patterns the automaton was built from.
-    #[must_use]
-    pub fn pattern_count(&self) -> usize {
-        self.patterns as usize
-    }
-
-    /// Number of automaton states (including the root).
+    /// Number of trie nodes (including the root).
     #[must_use]
     pub fn node_count(&self) -> usize {
         self.nodes.len()
     }
 
-    /// Token mode: the pattern equal to the **whole** of `text`, if any.
+    /// The pattern equal to the **whole** of `text`, if any.
     ///
-    /// Starts at the root, so the walk is pure goto transitions — reaching
-    /// a terminal node after consuming every byte means the root-to-node
-    /// path *is* `text`. Signature-count independent: cost is
-    /// `O(text.len())` with one dense load for the first byte and a binary
-    /// search over ≤ alphabet edges per further byte.
+    /// Starts at the root, so reaching a terminal node after consuming
+    /// every byte means the root-to-node path *is* `text`.
+    /// Signature-count independent: cost is `O(text.len())` with one
+    /// dense load for the first byte and a binary search over ≤ alphabet
+    /// edges per further byte.
     #[must_use]
     pub fn match_token(&self, text: &[u8]) -> Option<u32> {
         if !self.may_match(text) {
@@ -270,13 +174,13 @@ impl AnchorAutomaton {
         (pattern != NO_PATTERN).then_some(pattern)
     }
 
-    /// The skip-loop test in front of [`AnchorAutomaton::match_token`]'s
-    /// goto walk: `false` guarantees no pattern equals `text`, from two
-    /// loads off one 32-byte bitmap — no first-byte pattern starts, or the
+    /// The skip-loop test in front of [`AnchorTrie::match_token`]'s walk:
+    /// `false` guarantees no pattern equals `text`, from two loads off one
+    /// 32-byte bitmap — no pattern starts with the first byte, or the
     /// token is shorter than every pattern. Punctuation-heavy token
     /// streams (minified JS is mostly `=`, `(`, `;`, …, and anchors are ≥
-    /// [`MIN_ANCHOR_LEN`](crate::matcher::MIN_ANCHOR_LEN) chars) die here without
-    /// probing the 1 KiB root table.
+    /// [`MIN_ANCHOR_LEN`](crate::matcher::MIN_ANCHOR_LEN) chars) die here
+    /// without probing the 1 KiB root table.
     #[inline]
     #[must_use]
     pub fn may_match(&self, text: &[u8]) -> bool {
@@ -287,50 +191,7 @@ impl AnchorAutomaton {
             && self.first_byte[usize::from(first >> 6)] >> (first & 63) & 1 == 1
     }
 
-    /// Streaming substring mode: every occurrence of every pattern in
-    /// `haystack`, in end-offset order — the textbook Aho–Corasick scan
-    /// using the failure and output links. The matcher's token mode does
-    /// not need it (anchors are whole tokens); it exists to pin the
-    /// goto/fail construction to the brute-force oracle in tests and for
-    /// future raw-byte prefilters over untokenized documents.
-    #[must_use]
-    pub fn scan_bytes(&self, haystack: &[u8]) -> Vec<Occurrence> {
-        let mut hits = Vec::new();
-        let mut state = 0u32;
-        for (i, &b) in haystack.iter().enumerate() {
-            state = loop {
-                if let Some(next) = lookup(
-                    &self.nodes,
-                    &self.root,
-                    &self.edge_bytes,
-                    &self.edge_targets,
-                    state,
-                    b,
-                ) {
-                    break next;
-                }
-                if state == 0 {
-                    break 0;
-                }
-                state = self.nodes[state as usize].fail;
-            };
-            // Report the state's own pattern, then walk the output chain.
-            let mut out = state;
-            while out != NO_NODE {
-                let node = &self.nodes[out as usize];
-                if node.pattern != NO_PATTERN {
-                    hits.push(Occurrence {
-                        pattern: node.pattern,
-                        end: i + 1,
-                    });
-                }
-                out = node.output;
-            }
-        }
-        hits
-    }
-
-    /// Goto transition out of `node` on byte `b` (no failure fallback).
+    /// Transition out of `node` on byte `b`.
     #[inline]
     fn goto(&self, node: u32, b: u8) -> Option<u32> {
         let n = &self.nodes[node as usize];
@@ -340,164 +201,12 @@ impl AnchorAutomaton {
             .ok()
             .map(|pos| self.edge_targets[start + pos])
     }
-
-    /// Serialize the automaton.
-    pub fn encode_into(&self, enc: &mut Encoder) {
-        enc.varint_usize(self.nodes.len());
-        enc.varint(u64::from(self.patterns));
-        for node in &self.nodes {
-            enc.varint(u64::from(node.edges_start));
-            enc.varint(u64::from(node.edges_len));
-            enc.varint(u64::from(node.fail));
-            // NO_NODE / NO_PATTERN travel as 0 with present values shifted
-            // by one, keeping the varints short.
-            enc.varint(option_code(node.output));
-            enc.varint(option_code(node.pattern));
-            enc.varint(u64::from(node.depth));
-        }
-        enc.varint_usize(self.edge_bytes.len());
-        for (&b, &to) in self.edge_bytes.iter().zip(&self.edge_targets) {
-            enc.u8(b);
-            enc.varint(u64::from(to));
-        }
-        // The root table is recovered from the root node's edge run; only
-        // the flattened structure travels.
-    }
-
-    /// Decode an automaton written by [`AnchorAutomaton::encode_into`],
-    /// validating every structural invariant (indices in range, edge runs
-    /// inside the edge table, sorted runs) so a decoded automaton can
-    /// never walk out of bounds.
-    pub fn decode_from(dec: &mut Decoder<'_>) -> Result<Self, SnapshotError> {
-        let corrupt = |what: &str| SnapshotError::Corrupt(format!("anchor automaton: {what}"));
-        let node_count = dec.varint_usize()?;
-        if node_count == 0 {
-            return Err(corrupt("no root node"));
-        }
-        let patterns = u32::try_from(dec.varint()?).map_err(|_| corrupt("pattern count"))?;
-        let mut nodes = Vec::with_capacity(node_count.min(1 << 20));
-        for _ in 0..node_count {
-            let edges_start = u32::try_from(dec.varint()?).map_err(|_| corrupt("edge start"))?;
-            let edges_len = u16::try_from(dec.varint()?).map_err(|_| corrupt("edge len"))?;
-            let fail = u32::try_from(dec.varint()?).map_err(|_| corrupt("fail link"))?;
-            let output = option_decode(dec.varint()?).ok_or_else(|| corrupt("output link"))?;
-            let pattern = option_decode(dec.varint()?).ok_or_else(|| corrupt("pattern id"))?;
-            let depth = u32::try_from(dec.varint()?).map_err(|_| corrupt("depth"))?;
-            nodes.push(Node {
-                edges_start,
-                edges_len,
-                fail,
-                output,
-                pattern,
-                depth,
-            });
-        }
-        let edge_count = dec.varint_usize()?;
-        let mut edge_bytes = Vec::with_capacity(edge_count.min(1 << 20));
-        let mut edge_targets = Vec::with_capacity(edge_count.min(1 << 20));
-        for _ in 0..edge_count {
-            edge_bytes.push(dec.u8()?);
-            edge_targets.push(u32::try_from(dec.varint()?).map_err(|_| corrupt("edge target"))?);
-        }
-
-        let n = nodes.len() as u64;
-        for node in &nodes {
-            let start = u64::from(node.edges_start);
-            let len = u64::from(node.edges_len);
-            if start + len > edge_count as u64 {
-                return Err(corrupt("edge run out of range"));
-            }
-            let run = &edge_bytes
-                [node.edges_start as usize..(node.edges_start as usize + node.edges_len as usize)];
-            if !run.windows(2).all(|w| w[0] < w[1]) {
-                return Err(corrupt("edge run not strictly sorted"));
-            }
-            if u64::from(node.fail) >= n {
-                return Err(corrupt("fail link out of range"));
-            }
-            if node.output != NO_NODE && u64::from(node.output) >= n {
-                return Err(corrupt("output link out of range"));
-            }
-            if node.pattern != NO_PATTERN && node.pattern >= patterns {
-                return Err(corrupt("pattern id out of range"));
-            }
-        }
-        for &to in &edge_targets {
-            if u64::from(to) >= n {
-                return Err(corrupt("edge target out of range"));
-            }
-        }
-
-        let mut root = vec![NO_NODE; 256];
-        let root_node = nodes[0];
-        let start = root_node.edges_start as usize;
-        for pos in start..start + root_node.edges_len as usize {
-            root[edge_bytes[pos] as usize] = edge_targets[pos];
-        }
-
-        let (first_byte, min_pattern_len) = derive_skip(&root, &nodes);
-        Ok(AnchorAutomaton {
-            root,
-            nodes,
-            edge_bytes,
-            edge_targets,
-            patterns,
-            first_byte,
-            min_pattern_len,
-        })
-    }
-}
-
-/// `NO_NODE`/`NO_PATTERN` as 0, present ids shifted by one.
-fn option_code(v: u32) -> u64 {
-    if v == u32::MAX {
-        0
-    } else {
-        u64::from(v) + 1
-    }
-}
-
-fn option_decode(code: u64) -> Option<u32> {
-    if code == 0 {
-        Some(u32::MAX)
-    } else {
-        u32::try_from(code - 1).ok()
-    }
-}
-
-/// Index range of a node's edge run.
-fn edge_run(nodes: &[Node], id: u32) -> std::ops::Range<usize> {
-    let n = &nodes[id as usize];
-    let start = n.edges_start as usize;
-    start..start + n.edges_len as usize
-}
-
-/// Goto transition with the dense root table, used during construction and
-/// the streaming scan (where `node` may be the root).
-#[inline]
-fn lookup(
-    nodes: &[Node],
-    root: &[u32],
-    edge_bytes: &[u8],
-    edge_targets: &[u32],
-    node: u32,
-    b: u8,
-) -> Option<u32> {
-    if node == 0 {
-        let next = root[b as usize];
-        return (next != NO_NODE).then_some(next);
-    }
-    let n = &nodes[node as usize];
-    let start = n.edges_start as usize;
-    let run = &edge_bytes[start..start + n.edges_len as usize];
-    run.binary_search(&b)
-        .ok()
-        .map(|pos| edge_targets[start + pos])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn patterns() -> Vec<&'static str> {
         vec!["he", "she", "his", "hers", "decoder_0001"]
@@ -505,32 +214,32 @@ mod tests {
 
     #[test]
     fn match_token_is_whole_token_only() {
-        let ac = AnchorAutomaton::build(&patterns());
-        assert_eq!(ac.match_token(b"he"), Some(0));
-        assert_eq!(ac.match_token(b"she"), Some(1));
-        assert_eq!(ac.match_token(b"hers"), Some(3));
-        assert_eq!(ac.match_token(b"her"), None, "prefix of a pattern");
-        assert_eq!(ac.match_token(b"xhe"), None, "suffix embedding ignored");
-        assert_eq!(ac.match_token(b"decoder_0001"), Some(4));
-        assert_eq!(ac.match_token(b"decoder_0002"), None);
-        assert_eq!(ac.match_token(b""), None);
+        let trie = AnchorTrie::build(&patterns());
+        assert_eq!(trie.match_token(b"he"), Some(0));
+        assert_eq!(trie.match_token(b"she"), Some(1));
+        assert_eq!(trie.match_token(b"hers"), Some(3));
+        assert_eq!(trie.match_token(b"her"), None, "prefix of a pattern");
+        assert_eq!(trie.match_token(b"xhe"), None, "suffix embedding ignored");
+        assert_eq!(trie.match_token(b"decoder_0001"), Some(4));
+        assert_eq!(trie.match_token(b"decoder_0002"), None);
+        assert_eq!(trie.match_token(b""), None);
     }
 
     #[test]
     fn skip_loop_never_hides_a_match() {
         let pats = patterns();
-        let ac = AnchorAutomaton::build(&pats);
+        let trie = AnchorTrie::build(&pats);
         // Every pattern is its own whole-token match, so may_match must
         // pass it; and !may_match ⇒ match_token is None, byte-exhaustively
         // for length-1 and length-2 tokens plus pattern-adjacent probes.
         for (id, p) in pats.iter().enumerate() {
-            assert!(ac.may_match(p.as_bytes()), "pattern {p:?} skipped");
-            assert_eq!(ac.match_token(p.as_bytes()), Some(id as u32));
+            assert!(trie.may_match(p.as_bytes()), "pattern {p:?} skipped");
+            assert_eq!(trie.match_token(p.as_bytes()), Some(id as u32));
         }
         for b in 0u8..=255 {
             for probe in [vec![b], vec![b, b'e'], vec![b, b'h', b'e']] {
-                if !ac.may_match(&probe) {
-                    assert_eq!(ac.match_token(&probe), None, "probe {probe:?}");
+                if !trie.may_match(&probe) {
+                    assert_eq!(trie.match_token(&probe), None, "probe {probe:?}");
                 }
             }
         }
@@ -538,96 +247,47 @@ mod tests {
         // patterns start with punctuation, and `=`/`;` are shorter than
         // the shortest pattern anyway.
         for punct in [&b"="[..], b";", b"(", b"[", b"&&", b"=="] {
-            assert!(!ac.may_match(punct), "punct {punct:?}");
+            assert!(!trie.may_match(punct), "punct {punct:?}");
         }
         // Shorter than every pattern: skipped even with a viable first
         // byte ("h" starts "he"/"his"/"hers" but min pattern length is 2).
-        assert!(!ac.may_match(b"h"));
-        assert!(ac.may_match(b"hq"), "length/first-byte both viable");
-        assert_eq!(ac.match_token(b"hq"), None, "walk still decides");
-    }
-
-    #[test]
-    fn skip_loop_is_identical_after_decode() {
-        let ac = AnchorAutomaton::build(&patterns());
-        let mut enc = Encoder::new();
-        ac.encode_into(&mut enc);
-        let bytes = enc.into_bytes();
-        let back = AnchorAutomaton::decode_from(&mut Decoder::new(&bytes)).expect("decodes");
-        for b in 0u8..=255 {
-            for probe in [vec![b], vec![b, b'h'], vec![b, b'e', b'r', b's']] {
-                assert_eq!(ac.may_match(&probe), back.may_match(&probe), "{probe:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn scan_bytes_matches_brute_force() {
-        let pats = patterns();
-        let ac = AnchorAutomaton::build(&pats);
-        let haystack = b"ushers said he heard of his decoder_0001x";
-        let mut want = Vec::new();
-        for (id, p) in pats.iter().enumerate() {
-            let p = p.as_bytes();
-            for end in p.len()..=haystack.len() {
-                if &haystack[end - p.len()..end] == p {
-                    want.push((id as u32, end));
-                }
-            }
-        }
-        let mut got: Vec<(u32, usize)> = ac
-            .scan_bytes(haystack)
-            .into_iter()
-            .map(|o| (o.pattern, o.end))
-            .collect();
-        got.sort_unstable();
-        want.sort_unstable();
-        assert_eq!(got, want);
+        assert!(!trie.may_match(b"h"));
+        assert!(trie.may_match(b"hq"), "length/first-byte both viable");
+        assert_eq!(trie.match_token(b"hq"), None, "walk still decides");
     }
 
     #[test]
     fn empty_and_degenerate_builds() {
-        let ac = AnchorAutomaton::build::<&str>(&[]);
-        assert_eq!(ac.match_token(b"anything"), None);
-        assert!(ac.scan_bytes(b"anything").is_empty());
+        let trie = AnchorTrie::build::<&str>(&[]);
+        assert_eq!(trie.match_token(b"anything"), None);
+        assert_eq!(trie.node_count(), 1, "just the root");
 
         // Empty patterns are ignored, later duplicates win the terminal.
-        let ac = AnchorAutomaton::build(&["", "dup", "dup"]);
-        assert_eq!(ac.match_token(b"dup"), Some(2));
-        assert_eq!(ac.match_token(b""), None);
+        let trie = AnchorTrie::build(&["", "dup", "dup"]);
+        assert_eq!(trie.match_token(b"dup"), Some(2));
+        assert_eq!(trie.match_token(b""), None);
     }
 
-    #[test]
-    fn roundtrips_through_the_codec() {
-        let ac = AnchorAutomaton::build(&patterns());
-        let mut enc = Encoder::new();
-        ac.encode_into(&mut enc);
-        let bytes = enc.into_bytes();
-        let mut dec = Decoder::new(&bytes);
-        let back = AnchorAutomaton::decode_from(&mut dec).expect("decodes");
-        dec.finish().expect("fully consumed");
-        assert_eq!(back, ac);
-        assert_eq!(back.match_token(b"hers"), Some(3));
-        assert_eq!(
-            back.scan_bytes(b"ushers").len(),
-            ac.scan_bytes(b"ushers").len()
-        );
-    }
-
-    #[test]
-    fn decode_rejects_structural_damage() {
-        let ac = AnchorAutomaton::build(&patterns());
-        let mut enc = Encoder::new();
-        ac.encode_into(&mut enc);
-        let bytes = enc.into_bytes();
-        // Truncations decode to clean errors, never panics.
-        for cut in 0..bytes.len() {
-            let mut dec = Decoder::new(&bytes[..cut]);
-            let result = AnchorAutomaton::decode_from(&mut dec);
-            if let Ok(decoded) = result {
-                // A prefix that happens to parse must still be structurally
-                // valid — exercised by walking it.
-                let _ = decoded.scan_bytes(b"she sells seashells");
+    proptest! {
+        /// The trie oracle: `match_token(t)` is the last non-empty pattern
+        /// equal to `t`. A three-letter alphabet and short strings make
+        /// duplicates, shared prefixes, prefix-of-pattern probes and empty
+        /// patterns and probes common.
+        #[test]
+        fn match_token_is_the_last_equal_pattern(
+            pats in prop::collection::vec("[abc]{0,4}", 0..12),
+            probes in prop::collection::vec("[abc]{0,5}", 1..24),
+        ) {
+            let trie = AnchorTrie::build(&pats);
+            for probe in pats.iter().chain(&probes) {
+                let want = pats
+                    .iter()
+                    .rposition(|p| !p.is_empty() && p == probe)
+                    .map(|i| i as u32);
+                prop_assert_eq!(trie.match_token(probe.as_bytes()), want, "probe {:?}", probe);
+                if want.is_some() {
+                    prop_assert!(trie.may_match(probe.as_bytes()));
+                }
             }
         }
     }

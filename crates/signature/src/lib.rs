@@ -29,11 +29,14 @@
 //! representation the generator works in, so a signature is guaranteed to
 //! match the samples it was generated from. At deployment scale (tens of
 //! thousands of compounding daily signatures) the scan runs through a
-//! staged pipeline — an Aho–Corasick anchor automaton
-//! ([`automaton::AnchorAutomaton`]), batched per-window prefilters
+//! staged pipeline — a whole-token anchor trie
+//! ([`automaton::AnchorTrie`]), batched per-window prefilters
 //! ([`prefilter`]), and a literal-confirmation step — that returns
 //! exactly the linear scan's answer at a per-document cost independent
-//! of the signature count (see [`matcher`] for the full cost model).
+//! of the signature count (see [`matcher`] for the full cost model). The
+//! pipeline is derived from the signatures when a set is sealed and is
+//! never serialized: [`SignatureSet::encode_into`] ships the members
+//! alone.
 //! [`verify`] adds a banded near-miss kernel behind
 //! [`SignatureSet::scan_stream_nearest`].
 //!
@@ -67,7 +70,7 @@ pub mod pattern;
 pub mod prefilter;
 pub mod verify;
 
-pub use automaton::AnchorAutomaton;
+pub use automaton::AnchorTrie;
 pub use generate::{generate_signature, GenerateError};
 pub use matcher::{flush_scan_counters, LabeledSignature, ScanPipeline, SignatureSet};
 pub use pattern::{CharClass, Element, Signature, SignatureConfig};

@@ -9,14 +9,15 @@
 //! *signature count*, not just the document length. Scanning runs through
 //! a [`ScanPipeline`] built once per sealed set:
 //!
-//! 1. **Anchor automaton** ([`crate::automaton::AnchorAutomaton`]): every
+//! 1. **Anchor trie** ([`crate::automaton::AnchorTrie`]): every
 //!    signature with a selective literal element (at least
 //!    [`MIN_ANCHOR_LEN`] chars; longest wins — long literals are the most
-//!    selective) contributes that literal to one Aho–Corasick automaton
-//!    over *all* anchor literals. A scan walks the document's tokens once
-//!    through the automaton — `O(token bytes)` total, **independent of
-//!    the signature count** — and each terminal hit yields the bucket of
-//!    `(signature, anchor offset)` candidates sharing that literal.
+//!    selective) contributes that literal to one trie over *all* anchor
+//!    literals. A scan looks each of the document's tokens up once as a
+//!    whole-token walk from the root — `O(token bytes)` total,
+//!    **independent of the signature count** — and each terminal hit
+//!    yields the bucket of `(signature, anchor offset)` candidates sharing
+//!    that literal.
 //! 2. **Batched prefilter** ([`crate::prefilter`]): each candidate's
 //!    token window is screened against fixed-width, branch-free element
 //!    checks over cheap per-token profiles (length, class-acceptance
@@ -32,18 +33,19 @@
 //!
 //! The result is byte-identical to [`SignatureSet::scan_stream_linear`]
 //! — first match in insertion order — property-tested in
-//! `tests/signature_properties.rs`. The pipeline (automaton, buckets,
-//! filters) serializes through [`ScanPipeline::encode_into`] /
-//! [`ScanPipeline::decode_from`] so published snapshot chains ship
-//! ready-to-scan sets; it is immutable once built, and
-//! [`SignatureSet::add`] invalidates it so a mutated set reseals.
+//! `tests/signature_properties.rs`. The pipeline (trie, buckets,
+//! filters) is derived state: it is built from the signatures by
+//! [`SignatureSet::seal`], never serialized (snapshots carry the
+//! signatures alone, and every loader seals what it decodes), immutable
+//! once built, and dropped by [`SignatureSet::add`] so a mutated set
+//! reseals.
 //!
 //! Beyond the exact scan, [`SignatureSet::scan_stream_nearest`] grades
 //! near-misses with the adaptive banded kernel in [`crate::verify`]: the
 //! edit-distance band narrows as the running best improves across the
 //! set.
 
-use crate::automaton::AnchorAutomaton;
+use crate::automaton::AnchorTrie;
 use crate::pattern::{CharClass, Element, Signature};
 use crate::prefilter::{windows_pass_batch, SigFilter, StreamProfile};
 use crate::verify::{nearest_in_stream, stream_deficit, NearestMatch, StreamSummary};
@@ -266,29 +268,23 @@ fn window_matches(
         .all(|(element, token)| element.matches_token(token))
 }
 
-/// Wire version of the serialized pipeline. Bump when the pipeline layout
-/// changes; a version-skewed payload is refused at decode and the loader
-/// falls back to rebuilding from the signatures.
-pub const PIPELINE_VERSION: u16 = 1;
-
 /// Candidate buckets grow a window-histogram pre-gate from this size on:
 /// eight prefix-sum subtractions are only worth it when they can reject
 /// for several fanned-out candidates' element loops at once.
 const HIST_GATE_MIN_SIG_LEN: usize = 8;
 
 /// The sealed, immutable scan structures of one [`SignatureSet`]: the
-/// anchor automaton, the per-literal candidate buckets, the per-signature
+/// anchor trie, the per-literal candidate buckets, the per-signature
 /// prefilters and the unanchored fallback list. Built by
-/// [`SignatureSet::seal`], shared by `Arc` across clones, and shipped
-/// inside snapshots via [`ScanPipeline::encode_into`].
+/// [`SignatureSet::seal`] from the set's own signatures and shared by
+/// `Arc` across clones.
 #[derive(Debug, PartialEq)]
 pub struct ScanPipeline {
-    /// Stage 1: one automaton over every distinct anchor literal.
-    automaton: AnchorAutomaton,
-    /// The distinct anchor literals, indexed by automaton pattern id.
-    literals: Vec<String>,
-    /// Pattern id → `(signature index, anchor element offset)` for every
-    /// signature anchored on that literal, ascending by signature index.
+    /// Stage 1: one trie over every distinct anchor literal.
+    trie: AnchorTrie,
+    /// Trie pattern id (one per distinct anchor literal) →
+    /// `(signature index, anchor element offset)` for every signature
+    /// anchored on that literal, ascending by signature index.
     buckets: Vec<Vec<(u32, u32)>>,
     /// Stage 2: one prefilter per signature (aligned with the set).
     filters: Vec<SigFilter>,
@@ -300,7 +296,7 @@ impl ScanPipeline {
     /// Build the pipeline for a signature slice (insertion order).
     #[must_use]
     pub fn build(signatures: &[LabeledSignature]) -> Self {
-        let mut literals: Vec<String> = Vec::new();
+        let mut literals: Vec<&str> = Vec::new();
         let mut literal_ids: HashMap<&str, u32> = HashMap::new();
         let mut buckets: Vec<Vec<(u32, u32)>> = Vec::new();
         let mut unanchored: Vec<u32> = Vec::new();
@@ -311,7 +307,7 @@ impl ScanPipeline {
             match anchor_of(&labeled.signature) {
                 Some((offset, text)) => {
                     let pattern = *literal_ids.entry(text).or_insert_with(|| {
-                        literals.push(text.to_string());
+                        literals.push(text);
                         buckets.push(Vec::new());
                         u32::try_from(literals.len() - 1).expect("literal count fits u32")
                     });
@@ -321,26 +317,18 @@ impl ScanPipeline {
                 None => unanchored.push(index),
             }
         }
-        let automaton = AnchorAutomaton::build(&literals);
         ScanPipeline {
-            automaton,
-            literals,
+            trie: AnchorTrie::build(&literals),
             buckets,
             filters,
             unanchored,
         }
     }
 
-    /// The automaton, for observability (state count, pattern count).
-    #[must_use]
-    pub fn automaton(&self) -> &AnchorAutomaton {
-        &self.automaton
-    }
-
     /// Number of distinct anchor literals.
     #[must_use]
     pub fn literal_count(&self) -> usize {
-        self.literals.len()
+        self.buckets.len()
     }
 
     /// Number of signatures on the linear fallback path.
@@ -374,14 +362,14 @@ impl ScanPipeline {
     ) -> Option<usize> {
         let tokens = stream.tokens();
         let mut best: Option<usize> = None;
-        // Stage 2's profiles are created on the first automaton hit, so
+        // Stage 2's profiles are created on the first anchor hit, so
         // anchor-free documents never pay for them.
         let mut profile: Option<StreamProfile> = None;
-        // Candidates surviving the cheap gates, gathered per automaton hit
+        // Candidates surviving the cheap gates, gathered per anchor hit
         // and evaluated lane-parallel (buffer reused across tokens).
         let mut eligible: Vec<(usize, usize)> = Vec::new();
         'tokens: for (position, token) in tokens.iter().enumerate() {
-            let Some(pattern) = self.automaton.match_token(token.unquoted().as_bytes()) else {
+            let Some(pattern) = self.trie.match_token(token.unquoted().as_bytes()) else {
                 continue;
             };
             if tel {
@@ -486,7 +474,7 @@ impl ScanPipeline {
                 }
             }
         }
-        // Unanchored signatures cannot use the automaton; check them
+        // Unanchored signatures cannot use the trie; check them
         // directly.
         for &index in &self.unanchored {
             let index = index as usize;
@@ -501,102 +489,6 @@ impl ScanPipeline {
             }
         }
         best
-    }
-
-    /// Serialize the pipeline (version-stamped; see [`PIPELINE_VERSION`]).
-    pub fn encode_into(&self, enc: &mut Encoder) {
-        enc.u16(PIPELINE_VERSION);
-        enc.varint_usize(self.filters.len());
-        self.automaton.encode_into(enc);
-        enc.varint_usize(self.literals.len());
-        for (literal, bucket) in self.literals.iter().zip(&self.buckets) {
-            enc.str(literal);
-            enc.varint_usize(bucket.len());
-            for &(index, offset) in bucket {
-                enc.varint(u64::from(index));
-                enc.varint(u64::from(offset));
-            }
-        }
-        for filter in &self.filters {
-            filter.encode_into(enc);
-        }
-        enc.gap_list(&self.unanchored);
-    }
-
-    /// Decode a pipeline written by [`ScanPipeline::encode_into`] for a
-    /// set of `expected_signatures` members, validating the version stamp
-    /// and every index against the set it will serve. A failure here is
-    /// recoverable — the caller rebuilds from the signatures.
-    pub fn decode_from(
-        dec: &mut Decoder<'_>,
-        expected_signatures: usize,
-    ) -> Result<Self, SnapshotError> {
-        let corrupt = |what: &str| SnapshotError::Corrupt(format!("scan pipeline: {what}"));
-        let version = dec.u16()?;
-        if version != PIPELINE_VERSION {
-            return Err(SnapshotError::VersionSkew {
-                found: u32::from(version),
-                expected: u32::from(PIPELINE_VERSION),
-            });
-        }
-        let signature_count = dec.varint_usize()?;
-        if signature_count != expected_signatures {
-            return Err(corrupt("signature count mismatch"));
-        }
-        let automaton = AnchorAutomaton::decode_from(dec)?;
-        let literal_count = dec.varint_usize()?;
-        if literal_count != automaton.pattern_count() {
-            return Err(corrupt("literal count disagrees with automaton"));
-        }
-        let mut literals = Vec::with_capacity(literal_count.min(1 << 20));
-        let mut buckets = Vec::with_capacity(literal_count.min(1 << 20));
-        for _ in 0..literal_count {
-            let literal = dec.str()?.to_string();
-            if literal.len() < MIN_ANCHOR_LEN {
-                return Err(corrupt("anchor literal below minimum length"));
-            }
-            let entry_count = dec.varint_usize()?;
-            let mut bucket: Vec<(u32, u32)> = Vec::with_capacity(entry_count.min(1 << 20));
-            for _ in 0..entry_count {
-                let index = u32::try_from(dec.varint()?).map_err(|_| corrupt("bucket index"))?;
-                if index as usize >= signature_count {
-                    return Err(corrupt("bucket index out of range"));
-                }
-                let offset = u32::try_from(dec.varint()?).map_err(|_| corrupt("anchor offset"))?;
-                if bucket.last().is_some_and(|&(prev, _)| prev >= index) {
-                    return Err(corrupt("bucket not ascending by signature"));
-                }
-                bucket.push((index, offset));
-            }
-            literals.push(literal);
-            buckets.push(bucket);
-        }
-        let mut filters = Vec::with_capacity(signature_count.min(1 << 20));
-        for _ in 0..signature_count {
-            filters.push(SigFilter::decode_from(dec)?);
-        }
-        // Anchor offsets must point inside their signature's window.
-        for bucket in &buckets {
-            for &(index, offset) in bucket {
-                if offset as usize >= filters[index as usize].len() {
-                    return Err(corrupt("anchor offset outside signature"));
-                }
-            }
-        }
-        let unanchored = dec.gap_list()?;
-        if unanchored
-            .iter()
-            .any(|&index| index as usize >= signature_count)
-        {
-            return Err(corrupt("unanchored index out of range"));
-        }
-        Ok(ScanPipeline {
-            automaton,
-            literals,
-            buckets,
-            filters,
-            unanchored,
-        })
     }
 }
 
@@ -672,16 +564,6 @@ impl SignatureSet {
     #[must_use]
     pub fn is_sealed(&self) -> bool {
         self.pipeline.get().is_some()
-    }
-
-    /// Attach a pipeline decoded from a snapshot instead of rebuilding.
-    /// Returns `false` (and keeps the set lazy) if the pipeline does not
-    /// cover exactly this set's signatures or one is already attached.
-    pub fn attach_pipeline(&mut self, pipeline: ScanPipeline) -> bool {
-        if pipeline.filters.len() != self.signatures.len() {
-            return false;
-        }
-        self.pipeline.set(Arc::new(pipeline)).is_ok()
     }
 
     /// Iterate over the labeled signatures.
@@ -790,9 +672,9 @@ impl SignatureSet {
     }
 
     /// Serialize the set's members in insertion order (which the scan's
-    /// first-match semantics depend on). The pipeline is **not** included
-    /// — encode it separately via [`SignatureSet::seal`] and
-    /// [`ScanPipeline::encode_into`] when shipping ready-to-scan sets.
+    /// first-match semantics depend on). The pipeline is derived state and
+    /// is **not** included; the decoding side rebuilds it with
+    /// [`SignatureSet::seal`].
     pub fn encode_into(&self, enc: &mut Encoder) {
         enc.usize(self.signatures.len());
         for labeled in &self.signatures {
@@ -823,7 +705,8 @@ impl SignatureSet {
 
     /// Rebuild a set from [`SignatureSet::encode_into`] output; the dedup
     /// and label tables are re-derived by re-adding in order, and the
-    /// pipeline is left unsealed (attach or rebuild separately).
+    /// pipeline is left unsealed until [`SignatureSet::seal`] or the first
+    /// scan builds it.
     pub fn decode_from(dec: &mut Decoder<'_>) -> Result<Self, SnapshotError> {
         let corrupt = |what: &str| SnapshotError::Corrupt(format!("signature set: {what}"));
         let count = dec.usize()?;
@@ -1275,72 +1158,6 @@ mod tests {
         assert!(SignatureSet::decode_from(&mut dec)
             .and_then(|_| dec.finish())
             .is_err());
-    }
-
-    #[test]
-    fn pipeline_codec_roundtrips_and_validates() {
-        let mut set = SignatureSet::new();
-        set.add("Nuclear", nuclear_like_signature());
-        set.add("RIG", rig_like_signature());
-        let pipeline = set.seal();
-        let mut enc = Encoder::new();
-        pipeline.encode_into(&mut enc);
-        let bytes = enc.into_bytes();
-
-        let mut dec = Decoder::new(&bytes);
-        let decoded = ScanPipeline::decode_from(&mut dec, set.len()).expect("decodes");
-        dec.finish().expect("fully consumed");
-        assert_eq!(&decoded, pipeline);
-
-        // Wrong signature count is refused (a pipeline must exactly cover
-        // the set it serves).
-        let mut dec = Decoder::new(&bytes);
-        assert!(ScanPipeline::decode_from(&mut dec, set.len() + 1).is_err());
-
-        // Version skew is a typed error so loaders can fall back.
-        let mut skewed = bytes.clone();
-        skewed[0] ^= 0x40;
-        let mut dec = Decoder::new(&skewed);
-        assert!(matches!(
-            ScanPipeline::decode_from(&mut dec, set.len()),
-            Err(SnapshotError::VersionSkew { .. })
-        ));
-
-        // A decoded pipeline attached to an equal set scans identically.
-        let mut enc = Encoder::new();
-        set.encode_into(&mut enc);
-        let set_bytes = enc.into_bytes();
-        let mut dec = Decoder::new(&set_bytes);
-        let mut restored = SignatureSet::decode_from(&mut dec).expect("set decodes");
-        let mut dec = Decoder::new(&bytes);
-        let decoded = ScanPipeline::decode_from(&mut dec, restored.len()).expect("decodes");
-        assert!(restored.attach_pipeline(decoded));
-        assert!(restored.is_sealed());
-        let doc = r#"<script>zZzQ9p = this["abc"]("ev#000000al");</script>"#;
-        assert_eq!(
-            restored.scan_document(doc).map(|s| s.label.clone()),
-            set.scan_document(doc).map(|s| s.label.clone())
-        );
-
-        // Truncations decode to clean errors.
-        for cut in 0..bytes.len() {
-            let mut dec = Decoder::new(&bytes[..cut]);
-            assert!(
-                ScanPipeline::decode_from(&mut dec, set.len())
-                    .and_then(|_| dec.finish())
-                    .is_err(),
-                "cut {cut}"
-            );
-        }
-    }
-
-    #[test]
-    fn attach_pipeline_refuses_mismatched_coverage() {
-        let mut set = SignatureSet::new();
-        set.add("Nuclear", nuclear_like_signature());
-        let pipeline = ScanPipeline::build(&[]);
-        assert!(!set.attach_pipeline(pipeline), "covers 0 of 1 signatures");
-        assert!(!set.is_sealed());
     }
 
     #[test]

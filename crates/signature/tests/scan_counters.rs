@@ -13,7 +13,7 @@ use kizzle_js::tokenize;
 use kizzle_signature::{CharClass, Element, Signature, SignatureSet};
 
 /// A small set engineered to exercise every counted stage: shared-anchor
-/// literals (automaton hits + prefilters + verification), a signature
+/// literals (anchor hits + prefilters + verification), a signature
 /// whose literals are all below the anchor length (the unanchored
 /// fallback lane), and classes so verification has real work.
 fn counting_set() -> SignatureSet {

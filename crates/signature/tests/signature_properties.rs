@@ -3,9 +3,7 @@
 use kizzle_js::{tokenize, Token, TokenStream};
 use kizzle_signature::generate::{find_common_window, generate_signature};
 use kizzle_signature::verify::nearest_in_stream;
-use kizzle_signature::{
-    CharClass, Element, ScanPipeline, Signature, SignatureConfig, SignatureSet,
-};
+use kizzle_signature::{CharClass, Element, Signature, SignatureConfig, SignatureSet};
 use kizzle_snapshot::{Decoder, Encoder};
 use proptest::prelude::*;
 
@@ -28,7 +26,7 @@ fn ident_strategy() -> impl Strategy<Value = String> {
 
 /// A deliberately tiny vocabulary so generated signatures collide: many
 /// signatures anchor on the *same* literal (shared buckets), some literals
-/// are prefixes of others (overlapping automaton paths), and `ab`/`xy`
+/// are prefixes of others (overlapping trie paths), and `ab`/`xy`
 /// sit below `MIN_ANCHOR_LEN` (their signatures take the unanchored
 /// fallback unless another literal qualifies).
 const VOCAB: &[&str] = &[
@@ -202,8 +200,8 @@ proptest! {
         prop_assert!(CharClass::TEMPLATES.contains(&class));
     }
 
-    /// The tentpole property: the staged pipeline scan (Aho–Corasick
-    /// anchors → batched prefilter → literal confirmation) returns exactly
+    /// The tentpole property: the staged pipeline scan (anchor trie →
+    /// batched prefilter → literal confirmation) returns exactly
     /// the linear oracle's answer on arbitrary sets and documents —
     /// including duplicate and overlapping anchor literals, signatures
     /// whose only literals sit below `MIN_ANCHOR_LEN`, and empty streams.
@@ -224,8 +222,8 @@ proptest! {
         prop_assert!(set.scan_stream(&tokenize("")).is_none());
     }
 
-    /// A set and pipeline shipped through the codec scan byte-identically
-    /// to the originals on arbitrary documents.
+    /// A set shipped through the codec and sealed afresh scans
+    /// byte-identically to the original on arbitrary documents.
     #[test]
     fn codec_roundtrip_preserves_scan_results(
         set in signature_set_strategy(),
@@ -234,19 +232,13 @@ proptest! {
         let mut enc = Encoder::new();
         set.encode_into(&mut enc);
         let set_bytes = enc.into_bytes();
-        let mut enc = Encoder::new();
-        set.seal().encode_into(&mut enc);
-        let pipeline_bytes = enc.into_bytes();
 
         let mut dec = Decoder::new(&set_bytes);
-        let mut restored = SignatureSet::decode_from(&mut dec).expect("set decodes");
+        let restored = SignatureSet::decode_from(&mut dec).expect("set decodes");
         dec.finish().expect("set fully consumed");
-        let mut dec = Decoder::new(&pipeline_bytes);
-        let pipeline =
-            ScanPipeline::decode_from(&mut dec, restored.len()).expect("pipeline decodes");
-        dec.finish().expect("pipeline fully consumed");
         prop_assert_eq!(&restored, &set);
-        prop_assert!(restored.attach_pipeline(pipeline));
+        prop_assert!(!restored.is_sealed());
+        restored.seal();
 
         for doc in &docs {
             let stream = tokenize(doc);
